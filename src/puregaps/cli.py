@@ -3,7 +3,9 @@
 Verbs: info, gaps, pure-gaps, maximals, verify, codes, plot-data.  Output is
 deterministic (sorted, no timestamps); exit codes are 0 on success, 2 on
 validation/usage errors, 3 on domain errors (place-count window, degree
-window), and 1 when a verification run finds disagreeing routes.
+window), 1 when a verification run finds disagreeing routes, 141 when the
+reader of stdout goes away early (a broken pipe, e.g. ``| head``), and 130 on
+Ctrl-C.  The last two print no traceback.
 """
 
 from __future__ import annotations
@@ -26,10 +28,20 @@ def _curve_from(args) -> KummerCurve:
     return KummerCurve(args.m, args.r, args.lam)
 
 
+def _branch_indices(text: str) -> list[int]:
+    """The --places value: comma-separated 1-based branch indices."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"wants comma-separated branch indices, e.g. 2,4; got {text!r}"
+        ) from None
+
+
 def _places_count(args, curve: KummerCurve) -> tuple[int, list[int]]:
     """Resolve --n / --places into (n, 1-based indices)."""
     if getattr(args, "places", None):
-        idx = [int(tok) for tok in args.places.split(",")]
+        idx = args.places
         if len(set(idx)) != len(idx):
             raise ValueError("--places entries must be distinct")
         for j in idx:
@@ -137,7 +149,7 @@ def cmd_verify(args) -> int:
         return sorted(t for t in tuples if max(t) <= box)
 
     enumerated = clip(gapsets.pure_gaps(curve, n))
-    oracle = pure_gap_box_scan(curve, places, box_max=box, threads=args.threads)
+    oracle = pure_gap_box_scan(curve, places, box_max=box)
     routes = {"enumeration": enumerated, "oracle": oracle}
     if 2 <= n <= curve.r - curve.r // curve.m:
         routes["glb"] = clip(
@@ -223,7 +235,10 @@ def _add_curve_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_places_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=None, help="number of places (default 2)")
-    p.add_argument("--places", default=None, help="comma-separated branch indices, e.g. 1,2,3")
+    p.add_argument(
+        "--places", type=_branch_indices, default=None,
+        help="comma-separated branch indices, e.g. 1,2,3",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pure gaps, maximal elements, and AG-code parameters on Kummer curves.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    default_threads = int(os.environ.get("PUREGAPS_THREADS", "1"))
 
     p = sub.add_parser("info", help="curve invariants")
     _add_curve_flags(p)
@@ -270,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_curve_flags(p)
     _add_places_flags(p)
     p.add_argument("--max-box", type=int, default=None, help="comparison window edge (default 2g)")
-    p.add_argument("--threads", type=int, default=default_threads)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -295,20 +307,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _run(argv: Sequence[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
     except (NOutOfRangeError, DegreeWindowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
+    return code
+
+
+def _silence_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return  # not backed by a descriptor, so nothing is flushed at exit either
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    except BrokenPipeError:
+        _silence_stdout()
+        return 141
+    except KeyboardInterrupt:
+        return 130
 
 
 def console_entry() -> None:

@@ -18,14 +18,27 @@ because the exact Riemann-Roch identity ell(D) - ell(W - D) = deg(D) + 1 - g
 holds on randomized divisor suites (see the tests).  Everything else in the
 module reduces membership questions (semigroup, gap, pure gap, maximality,
 discrepancy, period) to a handful of ell evaluations.
+
+The tuple predicates need less than that.  For D_alpha = sum_i alpha_i Q_i
+(a_inf = 0) the classes read l_s(alpha) = floor(-s*r/m) + 1 + sum_j
+floor((alpha_j + s)/m), and lowering alpha_i by one lowers exactly one class,
+s_i = (-alpha_i) mod m, by exactly one.  Hence the one-residue identity
+
+    ell(D_alpha - Q_i) = ell(D_alpha) - [l_{s_i}(alpha) > 0],
+
+and lowering every coordinate turns l_s into l_s - c_s, where c_s counts the
+coordinates in class s.  So alpha is in the generalized semigroup iff
+l_{s_i} >= 1 for all i, a non-negative alpha is a pure gap iff l_{s_i} <= 0
+for all i, and both maximality tests read only the classes {s_i} and their
+counts.  The predicates and the box scans evaluate these few classes; ell and
+its m-class sweep remain the reference they are tested against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .curves import Divisor, KummerCurve, Place
 from .errors import PeriodSearchError
@@ -102,17 +115,76 @@ def _place_indices(
     return [p.index for p in places]
 
 
-def _tuple_dims(curve: KummerCurve, alpha: Sequence[int], idx: list[int]) -> tuple[int, list[int]]:
-    """ell at D_alpha and at D_alpha - Q_i for each i, sharing the base dict."""
+def _class_base(curve: KummerCurve) -> list[int]:
+    """floor(-s*r/m) + 1 for each class s: l_s of the zero divisor."""
     m, r = curve.m, curve.r
-    base = dict(zip(idx, alpha))
-    l0 = _dim(m, r, base)
-    drops = []
-    for i in idx:
-        lowered = dict(base)
-        lowered[i] -= 1
-        drops.append(_dim(m, r, lowered))
-    return l0, drops
+    return [(-s * r) // m + 1 for s in range(m)]
+
+
+def _class_dims(m: int, base: Sequence[int], alpha: Sequence[int]) -> dict[int, list[int]]:
+    """[l_s(alpha), c_s] for each class s = (-alpha_i) mod m, c_s counting the i in class s.
+
+    These are the only classes that lowering coordinates of alpha can change;
+    see the module docstring.  Plain loops, because the scans call this once
+    per tuple and generator expressions cost about twice as much here.
+    """
+    dims: dict[int, list[int]] = {}
+    for a in alpha:
+        s = -a % m
+        if s in dims:
+            dims[s][1] += 1
+        else:
+            ls = base[s]
+            for b in alpha:
+                ls += (b + s) // m
+            dims[s] = [ls, 1]
+    return dims
+
+
+# Each test reads the class table of an n-tuple alpha.
+
+
+def _in_semigroup(dims: dict[int, list[int]], n: int) -> bool:
+    # ell(D_alpha - Q_i) = ell(D_alpha) - 1 for every i
+    for ls, _ in dims.values():
+        if ls < 1:
+            return False
+    return True
+
+
+def _flat_everywhere(dims: dict[int, list[int]], n: int) -> bool:
+    # ell(D_alpha - Q_i) = ell(D_alpha) for every i; for n >= 1 this excludes the semigroup
+    for ls, _ in dims.values():
+        if ls > 0:
+            return False
+    return n >= 1
+
+
+def _absolute(dims: dict[int, list[int]], n: int) -> bool:
+    # membership, and lowering every coordinate costs exactly one dimension
+    lost = 0
+    for ls, c in dims.values():
+        if ls < 1:
+            return False
+        lost += ls if ls < c else c
+    return lost == 1
+
+
+def _relative(dims: dict[int, list[int]], n: int) -> bool:
+    # ell(D_{alpha-1} + Q_i) = ell(D_{alpha-1}) for every i,
+    # and ell(D_alpha) = ell(D_{alpha-1}) + n - 1
+    lost = 0
+    for ls, c in dims.values():
+        if ls >= c:
+            return False
+        if ls > 0:
+            lost += ls
+    return lost == n - 1
+
+
+def _holds(test, curve: KummerCurve, alpha: Sequence[int], places: Sequence[Place] | None) -> bool:
+    _place_indices(curve, alpha, places)
+    return test(_class_dims(curve.m, _class_base(curve), alpha), len(alpha))
 
 
 def in_generalized_semigroup(
@@ -123,21 +195,17 @@ def in_generalized_semigroup(
     True exactly when ell(D_alpha) = ell(D_alpha - Q_i) + 1 for every i, i.e.
     some function has pole order alpha_i at each Q_i and no other poles.
     """
-    idx = _place_indices(curve, alpha, places)
-    l0, drops = _tuple_dims(curve, alpha, idx)
-    return all(d == l0 - 1 for d in drops)
+    return _holds(_in_semigroup, curve, alpha, places)
 
 
 def is_pure_gap(
     curve: KummerCurve, alpha: Sequence[int], places: Sequence[Place] | None = None
 ) -> bool:
     """Whether alpha is a pure gap: a gap with ell(D_alpha) = ell(D_alpha - Q_j) for all j."""
-    idx = _place_indices(curve, alpha, places)
+    _place_indices(curve, alpha, places)
     if any(a < 0 for a in alpha):
         return False
-    l0, drops = _tuple_dims(curve, alpha, idx)
-    in_semigroup = all(d == l0 - 1 for d in drops)
-    return not in_semigroup and all(d == l0 for d in drops)
+    return _flat_everywhere(_class_dims(curve.m, _class_base(curve), alpha), len(alpha))
 
 
 def is_absolute_maximal(
@@ -147,13 +215,7 @@ def is_absolute_maximal(
 
     Characterized by membership plus ell(D_alpha) = ell(D_alpha - sum_i Q_i) + 1.
     """
-    idx = _place_indices(curve, alpha, places)
-    m, r = curve.m, curve.r
-    l0, drops = _tuple_dims(curve, alpha, idx)
-    if not all(d == l0 - 1 for d in drops):
-        return False
-    all_lowered = {i: a - 1 for i, a in zip(idx, alpha)}
-    return _dim(m, r, all_lowered) == l0 - 1
+    return _holds(_absolute, curve, alpha, places)
 
 
 def is_relative_maximal(
@@ -166,19 +228,7 @@ def is_relative_maximal(
     decided at the shifted tuple alpha - 1 + e_i, where it is equivalent to
     ell staying constant when Q_i is removed.
     """
-    idx = _place_indices(curve, alpha, places)
-    m, r = curve.m, curve.r
-    n = len(alpha)
-    for pos, i in enumerate(idx):
-        shifted = {j: a - 1 for j, a in zip(idx, alpha)}
-        shifted[i] = alpha[pos]
-        up = _dim(m, r, shifted)
-        shifted[i] -= 1
-        if up != _dim(m, r, shifted):
-            return False
-    l0 = _dim(m, r, dict(zip(idx, alpha)))
-    l_down = _dim(m, r, {i: a - 1 for i, a in zip(idx, alpha)})
-    return l0 == l_down + n - 1
+    return _holds(_relative, curve, alpha, places)
 
 
 def is_discrepancy(curve: KummerCurve, div: Divisor, p1: Place, p2: Place) -> bool:
@@ -227,16 +277,27 @@ def verify_period(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracle sweeps.  These scan boxes with the ell-based predicates
-# only, so they are independent of every closed form they are used to check.
+# Exhaustive oracle sweeps.  These scan boxes with the one-residue tests of
+# the predicates only, so they are independent of every closed form they are
+# used to check.  product() yields each box in lexicographic order.
 # ---------------------------------------------------------------------------
+
+
+def _scan(
+    curve: KummerCurve, places: Sequence[Place] | int, test, ranges: Sequence[range]
+) -> list[tuple[int, ...]]:
+    """The tuples of the box ranges[0] x ... x ranges[n-1] that pass test, in lex order."""
+    if isinstance(places, int):
+        places = curve.ramified_places(places)
+    _place_indices(curve, [0] * len(places), places)
+    m, n, base = curve.m, len(places), _class_base(curve)
+    return [alpha for alpha in product(*ranges) if test(_class_dims(m, base, alpha), n)]
 
 
 def pure_gap_box_scan(
     curve: KummerCurve,
     places: Sequence[Place] | int,
     box_max: int | None = None,
-    threads: int = 1,
 ) -> list[tuple[int, ...]]:
     """All pure gaps inside [1, box_max]^n, found by brute force.
 
@@ -244,53 +305,26 @@ def pure_gap_box_scan(
     default box edge 2g covers every pure gap, since a coordinate sum of 2g or
     more already lies in the semigroup.
     """
-    if isinstance(places, int):
-        places = curve.ramified_places(places)
     if box_max is None:
         box_max = 2 * curve.genus
-    n = len(places)
-    idx = _place_indices(curve, [0] * n, places)
-
-    def scan(first_values: Iterable[int]) -> list[tuple[int, ...]]:
-        found = []
-        for first in first_values:
-            for rest in product(range(1, box_max + 1), repeat=n - 1):
-                alpha = (first, *rest)
-                if is_pure_gap(curve, alpha, places):
-                    found.append(alpha)
-        return found
-
-    firsts = range(1, box_max + 1)
-    if threads <= 1 or box_max < 2:
-        return sorted(scan(firsts))
-    chunks = [list(firsts)[i::threads] for i in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(scan, chunks)
-    return sorted(t for part in parts for t in part)
+    n = places if isinstance(places, int) else len(places)
+    return _scan(curve, places, _flat_everywhere, [range(1, box_max + 1)] * n)
 
 
 def _window_scan(
     curve: KummerCurve,
     places: Sequence[Place] | int,
-    predicate,
+    test,
     first_min: int | None,
     first_max: int | None,
 ) -> list[tuple[int, ...]]:
-    if isinstance(places, int):
-        places = curve.ramified_places(places)
-    n = len(places)
+    n = places if isinstance(places, int) else len(places)
     m = curve.m
     if first_min is None:
         first_min = -(n - 1) * (m - 1)  # deg >= 0 forces this much at the first place
     if first_max is None:
         first_max = 2 * curve.genus
-    found = []
-    for first in range(first_min, first_max + 1):
-        for rest in product(range(m), repeat=n - 1):
-            alpha = (first, *rest)
-            if predicate(curve, alpha, places):
-                found.append(alpha)
-    return sorted(found)
+    return _scan(curve, places, test, [range(first_min, first_max + 1)] + [range(m)] * (n - 1))
 
 
 def absolute_maximals_window_scan(
@@ -305,7 +339,7 @@ def absolute_maximals_window_scan(
     confines the others to [0, m); every maximal element is a translate of one
     found here.
     """
-    return _window_scan(curve, places, is_absolute_maximal, first_min, first_max)
+    return _window_scan(curve, places, _absolute, first_min, first_max)
 
 
 def relative_maximals_window_scan(
@@ -315,4 +349,4 @@ def relative_maximals_window_scan(
     first_max: int | None = None,
 ) -> list[tuple[int, ...]]:
     """Relative maximal elements in the fundamental window, by brute force."""
-    return _window_scan(curve, places, is_relative_maximal, first_min, first_max)
+    return _window_scan(curve, places, _relative, first_min, first_max)

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from puregaps import cli
 from puregaps.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -58,10 +65,8 @@ def test_verify_line(capsys):
     assert out.strip() == "OK: enumeration matches oracle (3 pure gaps)"
 
 
-def test_verify_json_and_threads(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--m", "5", "--r", "9", "--n", "2", "--threads", "2", "--format", "json"
-    )
+def test_verify_json(capsys):
+    code, out, _ = run(capsys, "verify", "--m", "5", "--r", "9", "--n", "2", "--format", "json")
     payload = json.loads(out)
     assert code == 0 and payload["ok"] is True
     assert payload["routes"]["enumeration"] == payload["routes"]["oracle"]
@@ -69,12 +74,6 @@ def test_verify_json_and_threads(capsys):
 
 def test_verify_with_places_subset(capsys):
     code, out, _ = run(capsys, "verify", "--m", "3", "--r", "4", "--places", "2,4")
-    assert code == 0 and "OK" in out
-
-
-def test_verify_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("PUREGAPS_THREADS", "2")
-    code, out, _ = run(capsys, "verify", "--m", "3", "--r", "4", "--n", "2")
     assert code == 0 and "OK" in out
 
 
@@ -168,3 +167,36 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, "pure-gaps", "--m", "5", "--r", "9", "--n", "3", "--format", "json")
     b = run(capsys, "pure-gaps", "--m", "5", "--r", "9", "--n", "3", "--format", "json")
     assert a == b
+
+
+def test_malformed_places_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--m", "3", "--r", "4", "--places", "1,x")
+    assert code == 2 and out == ""
+    assert "--places" in err and "comma-separated branch indices" in err
+    assert "invalid literal" not in err
+
+
+def test_broken_pipe_exits_141_quietly():
+    # the reader takes one line and closes; the rest of the ~1 MB listing hits a closed pipe
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "from puregaps.cli import console_entry; console_entry()",
+         "pure-gaps", "--m", "7", "--r", "40", "--n", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"1 1 1\n"
+    proc.stdout.close()
+    code = proc.wait(timeout=60)  # a traceback would fit in the stderr pipe
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (code, err) == (141, b"")
+
+
+def test_interrupt_exits_130_quietly(capsys, monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.gapsets, "pure_gaps", interrupted)
+    code, out, err = run(capsys, "pure-gaps", "--m", "3", "--r", "4", "--n", "2")
+    assert (code, out, err) == (130, "", "")

@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,11 @@ from puregaps import (
     is_pure_gap,
     is_relative_maximal,
     verify_period,
+)
+from puregaps.riemann_roch import (
+    absolute_maximals_window_scan,
+    pure_gap_box_scan,
+    relative_maximals_window_scan,
 )
 
 C34 = KummerCurve(3, 4)
@@ -197,6 +204,121 @@ def test_predicates_validate_places():
         is_pure_gap(C34, (1, 1), (C34.place(1), C34.place(1)))
     with pytest.raises(ValueError):
         in_generalized_semigroup(C34, (1, 1), (C34.place(1), INFINITY))
+
+
+# --- differential checks against literal ell definitions --------------------
+#
+# The predicates and scans evaluate only the classes a tuple touches; these
+# reference versions spell out each characterization with full ell calls.
+
+
+def ell_at(curve, alpha, places):
+    return ell(curve, divisor_from_tuple(alpha, places)).dim
+
+
+def shifted(alpha, delta):
+    return tuple(a + d for a, d in zip(alpha, delta))
+
+
+def unit(n, i, v=1):
+    return tuple(v if j == i else 0 for j in range(n))
+
+
+def ref_in_semigroup(curve, alpha, places):
+    top = ell_at(curve, alpha, places)
+    return all(ell_at(curve, shifted(alpha, unit(len(alpha), i, -1)), places) == top - 1
+               for i in range(len(alpha)))
+
+
+def ref_is_pure_gap(curve, alpha, places):
+    if any(a < 0 for a in alpha) or ref_in_semigroup(curve, alpha, places):
+        return False
+    top = ell_at(curve, alpha, places)
+    return all(ell_at(curve, shifted(alpha, unit(len(alpha), i, -1)), places) == top
+               for i in range(len(alpha)))
+
+
+def ref_is_absolute_maximal(curve, alpha, places):
+    down = ell_at(curve, shifted(alpha, (-1,) * len(alpha)), places)
+    return ref_in_semigroup(curve, alpha, places) and down == ell_at(curve, alpha, places) - 1
+
+
+def ref_is_relative_maximal(curve, alpha, places):
+    n = len(alpha)
+    below = shifted(alpha, (-1,) * n)
+    down = ell_at(curve, below, places)
+    if any(ell_at(curve, shifted(below, unit(n, i)), places) != down for i in range(n)):
+        return False
+    return ell_at(curve, alpha, places) == down + n - 1
+
+
+PREDICATE_PAIRS = [
+    (in_generalized_semigroup, ref_in_semigroup),
+    (is_pure_gap, ref_is_pure_gap),
+    (is_absolute_maximal, ref_is_absolute_maximal),
+    (is_relative_maximal, ref_is_relative_maximal),
+]
+
+
+def check_predicates(curve, alpha, places):
+    for fast, ref in PREDICATE_PAIRS:
+        assert fast(curve, alpha, places) is ref(curve, alpha, places), (
+            fast.__name__, curve, alpha, places,
+        )
+
+
+def test_predicates_match_ell_definitions(corpus):
+    check_predicates(C34, (), ())  # the empty tuple: in the semigroup, no pure gap, not maximal
+    rng = random.Random(2024)
+    for curve in corpus:
+        m, g = curve.m, curve.genus
+        for n in range(1, min(curve.r, 4) + 1):
+            for _ in range(12):
+                places = tuple(rng.sample(curve.ramified_places(), n))
+                alpha = tuple(rng.randint(-2 * m, 2 * g + 2) for _ in range(n))
+                check_predicates(curve, alpha, places)
+
+
+coprime_curve = st.tuples(st.integers(2, 12), st.integers(2, 12)).filter(
+    lambda mr: gcd(*mr) == 1
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_curve, st.data())
+def test_predicates_match_ell_definitions_random(mr, data):
+    curve = KummerCurve(*mr)
+    m, g = curve.m, curve.genus
+    idx = data.draw(
+        st.lists(st.integers(1, curve.r), min_size=1, max_size=min(curve.r, 5), unique=True)
+    )
+    places = tuple(curve.place(j) for j in idx)
+    alpha = tuple(
+        data.draw(st.lists(st.integers(-2 * m, 2 * g + 2), min_size=len(idx), max_size=len(idx)))
+    )
+    check_predicates(curve, alpha, places)
+
+
+def test_scans_match_ell_brute_force(corpus):
+    # small boxes on a spread of the corpus, at the first and at the last n places
+    for curve in corpus[::3]:
+        m = curve.m
+        if m > 6:  # the window grows as m^(n-1)
+            continue
+        for n in range(1, min(curve.r, 3) + 1):
+            for places in dict.fromkeys([curve.ramified_places(n), curve.ramified_places()[-n:]]):
+                box = min(2 * curve.genus, 6)
+                want = [a for a in product(range(1, box + 1), repeat=n)
+                        if ref_is_pure_gap(curve, a, places)]
+                assert pure_gap_box_scan(curve, places, box_max=box) == want
+                lo, hi = -(n - 1) * (m - 1), min(2 * curve.genus, 6)
+                window = list(product(range(lo, hi + 1), *[range(m)] * (n - 1)))
+                assert absolute_maximals_window_scan(curve, places, lo, hi) == [
+                    a for a in window if ref_is_absolute_maximal(curve, a, places)
+                ]
+                assert relative_maximals_window_scan(curve, places, lo, hi) == [
+                    a for a in window if ref_is_relative_maximal(curve, a, places)
+                ]
 
 
 # --- discrepancies and periods ---------------------------------------------
