@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice, takewhile
 from typing import Sequence
 
 from . import codes as codes_mod
@@ -22,6 +23,8 @@ from .boxes import pure_gaps_from_relative_maximals
 from .curves import KummerCurve
 from .errors import DegreeWindowError, NOutOfRangeError
 from .riemann_roch import pure_gap_box_scan
+
+_CHUNK_LINES = 1024  # lines per write of text and csv output
 
 
 def _curve_from(args) -> KummerCurve:
@@ -55,14 +58,23 @@ def _places_count(args, curve: KummerCurve) -> tuple[int, list[int]]:
 
 
 def _emit_tuples(tuples, fmt: str) -> None:
+    """One tuple a line (text: space-separated, csv: comma-separated), or one JSON list.
+
+    Text and csv lines go out in chunks of _CHUNK_LINES, one write each.  All
+    tuples of one call have the same length, so one %-format serves them all;
+    on int tuples, % with %s is the fastest of print, str.join and str.format.
+    """
     if fmt == "json":
         print(json.dumps([list(t) for t in tuples]))
-    elif fmt == "csv":
-        for t in tuples:
-            print(",".join(str(x) for x in t))
-    else:
-        for t in tuples:
-            print(" ".join(str(x) for x in t))
+        return
+    it = iter(tuples)
+    chunk = list(islice(it, _CHUNK_LINES))
+    if not chunk:
+        return
+    line = ("," if fmt == "csv" else " ").join(["%s"] * len(chunk[0])) + "\n"
+    while chunk:
+        sys.stdout.write("".join(map(line.__mod__, chunk)))
+        chunk = list(islice(it, _CHUNK_LINES))
 
 
 def cmd_info(args) -> int:
@@ -146,7 +158,9 @@ def cmd_verify(args) -> int:
     box = args.max_box if args.max_box is not None else 2 * curve.genus
 
     def clip(tuples):
-        return sorted(t for t in tuples if max(t) <= box)
+        # both routes are in lexicographic order, so the first tuple past the
+        # box on the first axis ends the window
+        return [t for t in takewhile(lambda t: t[0] <= box, tuples) if max(t) <= box]
 
     enumerated = clip(gapsets.pure_gaps(curve, n))
     oracle = pure_gap_box_scan(curve, places, box_max=box)
@@ -196,8 +210,9 @@ def cmd_codes_table(args) -> int:
         for k in ks:
             if k > top:
                 raise ValueError(f"level k={k} has no pure gaps for n={n} on this curve")
-            sums = sorted({sum(a) for a in gapsets.b_k(curve, n, k).tuples()})
-            for a_sum in sums:
+            # every bound is >= 1 up to the top level, so the box sums fill an interval
+            bounds = gapsets.b_k(curve, n, k).bounds
+            for a_sum in range(n, sum(bounds) + 1):
                 spec = codes_mod.TableRowSpec(args.family, args.q, args.m, n, k, (a_sum,), t=args.t)
                 try:
                     rows.extend(codes_mod.generate_tables([spec]))

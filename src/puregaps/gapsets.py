@@ -11,13 +11,25 @@ the recursion
 
 which gives |union over permutations of B| for non-increasing positive bounds
 and is checked against explicit set enumeration in the tests.
+
+The same cells give a pointwise test.  Write t_i = c_i*m + u_i with
+1 <= u_i <= m - 1.  Then t is a pure gap exactly when its level
+k = c_1 + ... + c_n is at most max_level and the descending sort of
+u = (u_1, ..., u_n) lies under the bounds of B_k, coordinate by coordinate.
+The stream walks this test depth first: a prefix (t_1, ..., t_j) is kept when
+the descending sort of its residues lies under the first j bounds of B_k, k
+the level of the prefix.  The prune is exact.  Every level up to max_level
+has last bound >= 1, so padding a kept prefix with t = 1 (c = 0, u = 1)
+completes it, and no branch of the walk dies.  At one level, the residues
+that extend a kept prefix form an interval 1..u_max, since a larger u sorts
+to a pointwise larger vector; and once a prefix fails at a level it fails at
+every higher one, since the bounds do not grow with k.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from math import comb
 from typing import Iterator, Sequence
 
@@ -88,28 +100,61 @@ def g_k_zero(curve: KummerCurve, n: int, k: int) -> list[TupleZ]:
     return [(k * m + t[0],) + t[1:] for t in _sigma_union(b_k(curve, n, k))]
 
 
-def _shifted(origin: TupleZ, tuples: Sequence[TupleZ]) -> Iterator[TupleZ]:
-    for t in tuples:
-        yield tuple(o + x for o, x in zip(origin, t))
-
-
 def pure_gaps(curve: KummerCurve, n: int) -> Iterator[TupleZ]:
     """Lexicographically ordered stream of every pure gap at P_1, ..., P_n.
 
-    Cells are generated one level box at a time and merged lazily, so the full
-    set is never materialized here; cells are pairwise disjoint, hence no
-    cross-cell deduplication is needed.
+    A depth-first walk over the residue/level test of the module docstring.
+    It keeps no cells and no heap, only the extension ranges of each
+    (sorted residues, level) pair it has met.  n is checked on the call.
     """
     _require_places(curve, n)
-    m = curve.m
-    streams = []
-    for k in range(max_level(curve, n) + 1):
-        union = _sigma_union(b_k(curve, n, k))
-        if not union:
-            continue
-        for comp in compositions(k, n):
-            streams.append(_shifted(tuple(c * m for c in comp), union))
-    return heapq.merge(*streams)
+    bounds = [b_k(curve, n, k).bounds for k in range(max_level(curve, n) + 1)]
+    return chain.from_iterable(_lex_walk(curve.m, n, bounds))
+
+
+def _lex_walk(m: int, n: int, bounds: Sequence[TupleZ]) -> Iterator[Iterator[TupleZ]]:
+    """Runs of the pure-gap stream, in order: one iterator per prefix and last-coordinate cell.
+
+    A prefix is extended by t_j = c*m + u with c, then u, ascending, so the
+    stream comes out in lexicographic order.  residues holds the prefix's
+    residues sorted descending, d_0 >= d_1 >= ...
+    """
+    top = len(bounds) - 1
+    singles = [(t,) for t in range((top + 1) * m)]
+    memo: dict[tuple[TupleZ, int], list[tuple[int, int]]] = {}
+
+    def extensions(residues: TupleZ, k: int) -> list[tuple[int, int]]:
+        """The next coordinates that keep a prefix completable: ranges [c*m + 1, c*m + u_max + 1).
+
+        With u added, the i-th largest residue is max(d_i, min(u, d_{i-1})).
+        So at bounds b the prefix takes u exactly when every d_i <= b_i, and
+        u <= b_0, and u <= b_i wherever d_{i-1} > b_i.  Once the prefix
+        itself fails, every higher level fails too.
+        """
+        found = memo.get((residues, k))
+        if found is None:
+            found = []
+            for c in range(top - k + 1):
+                b = bounds[k + c]
+                if any(d > bi for d, bi in zip(residues, b)):
+                    break
+                u_max = min([b[0]] + [b[i + 1] for i, d in enumerate(residues) if d > b[i + 1]])
+                found.append((c * m + 1, c * m + u_max + 1))
+            memo[residues, k] = found
+        return found
+
+    def walk(prefix: TupleZ, residues: TupleZ, k: int) -> Iterator[Iterator[TupleZ]]:
+        if len(prefix) == n - 1:
+            for lo, hi in extensions(residues, k):
+                yield map(prefix.__add__, singles[lo:hi])
+            return
+        for lo, hi in extensions(residues, k):
+            c = lo // m
+            for t in range(lo, hi):
+                child = tuple(sorted(residues + (t - c * m,), reverse=True))
+                yield from walk(prefix + (t,), child, k + c)
+
+    yield from walk((), (), 0)
 
 
 def union_count(bounds: Sequence[int]) -> int:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from puregaps import cli
+from puregaps import KummerCurve, cli, lambda_star, pure_gaps
 from puregaps.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -59,6 +59,34 @@ def test_pure_gaps_formats(capsys):
     assert json.loads(out) == [[1, 1], [1, 2], [2, 1]]
 
 
+def lines(tuples, sep):
+    return "".join(sep.join(map(str, t)) + "\n" for t in tuples)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_pure_gaps_output_longer_than_one_chunk(capsys, fmt):
+    sep = "," if fmt == "csv" else " "
+    code, out, err = run(capsys, "pure-gaps", "--m", "9", "--r", "13", "--n", "3", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 10146 > cli._CHUNK_LINES
+    assert out == lines(pure_gaps(KummerCurve(9, 13), 3), sep)
+
+
+def test_pure_gaps_empty_stream(capsys):
+    argv = ("pure-gaps", "--m", "3", "--r", "2", "--n", "2", "--format")
+    assert run(capsys, *argv, "text") == (0, "", "")
+    assert run(capsys, *argv, "csv") == (0, "", "")
+    assert run(capsys, *argv, "json") == (0, "[]\n", "")
+
+
+def test_maximals_csv(capsys):
+    code, out, _ = run(
+        capsys, "maximals", "--m", "5", "--r", "9", "--n", "3", "--kind", "relative", "--format", "csv"
+    )
+    assert code == 0 and out == lines(lambda_star(KummerCurve(5, 9), 3), ",")
+    assert out.startswith("1,1,31\n1,6,26\n") and out.count("\n") == 50
+
+
 def test_verify_line(capsys):
     code, out, _ = run(capsys, "verify", "--m", "3", "--r", "4", "--n", "2", "--max-box", "12")
     assert code == 0
@@ -70,6 +98,18 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert code == 0 and payload["ok"] is True
     assert payload["routes"]["enumeration"] == payload["routes"]["oracle"]
+
+
+def test_verify_small_boxes(capsys):
+    gaps = list(pure_gaps(KummerCurve(5, 9), 3))
+    for box in (1, 2, 6, 11, 17):
+        code, out, _ = run(
+            capsys, "verify", "--m", "5", "--r", "9", "--n", "3", "--max-box", str(box), "--format", "json"
+        )
+        want = sum(1 for t in gaps if max(t) <= box)
+        payload = json.loads(out)
+        assert code == 0 and payload["ok"] is True
+        assert payload["routes"] == {"enumeration": want, "glb": want, "oracle": want}
 
 
 def test_verify_with_places_subset(capsys):

@@ -1,14 +1,15 @@
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from puregaps import (
     KummerCurve,
     NOutOfRangeError,
     b_k,
+    compositions,
     g_k_zero,
     is_pure_gap,
     lambda_star,
@@ -23,6 +24,7 @@ from puregaps import (
     union_count,
     union_count_bruteforce,
 )
+from puregaps.gapsets import _sigma_union
 
 C34 = KummerCurve(3, 4)
 C59 = KummerCurve(5, 9)
@@ -109,6 +111,47 @@ def test_pure_gaps_match_oracle_small_sweep():
 def test_pure_gaps_are_pure_gaps():
     for alpha in pure_gaps(C34, 2):
         assert is_pure_gap(C34, alpha)
+
+
+def cell_union(curve, n):
+    """The pure gaps as the sorted union of the translated permutation-union cells."""
+    m = curve.m
+    out = []
+    for k in range(max_level(curve, n) + 1):
+        union = _sigma_union(b_k(curve, n, k))
+        for comp in compositions(k, n):
+            out.extend(tuple(c * m + x for c, x in zip(comp, u)) for u in union)
+    return sorted(out)
+
+
+def assert_stream_is_cell_union(curve, n):
+    got = list(pure_gaps(curve, n))
+    assert got == cell_union(curve, n)
+    assert all(a < b for a, b in zip(got, got[1:]))
+    assert len(got) == pure_gap_count(curve, n)
+
+
+# the curves of the benchmark's stream workload, 1e4 to 4e4 pure gaps each
+STREAM_POOL = (
+    (9, 13, 3), (11, 12, 3), (7, 23, 3), (13, 12, 3),
+    (8, 9, 4), (7, 12, 4), (11, 8, 4), (9, 10, 4),
+)
+
+
+@pytest.mark.parametrize("m,r,n", STREAM_POOL)
+def test_pure_gaps_match_cell_union_on_stream_curves(m, r, n):
+    assert_stream_is_cell_union(KummerCurve(m, r), n)
+
+
+COPRIME = [(m, r) for m in range(2, 15) for r in range(2, 17) if gcd(m, r) == 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(COPRIME), st.integers(2, 4))
+def test_pure_gaps_match_cell_union_random(mr, n):
+    curve = KummerCurve(*mr)
+    assume(n <= curve.r and pure_gap_count(curve, n) <= 50_000)  # keeps each example well under 1 s
+    assert_stream_is_cell_union(curve, n)
 
 
 # --- the counting recursion -------------------------------------------------

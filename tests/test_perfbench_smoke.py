@@ -1,8 +1,11 @@
-"""One round of the referee benchmark workload, run as the benchmark runs it.
+"""One round of a benchmark workload, run as the benchmark runs it.
 
-The round checks every job it times: the `verify` routes against the recorded
-golden payloads and the window scans against their closed forms.  A wrong
-result makes the harness report ``"correct": false`` and exit 1.
+The round checks every job it times: for `referee`, the `verify` routes
+against the recorded golden payloads and the window scans against their
+closed forms; for `stream`, the pure-gap stream against the exact count and
+lexicographic order, and the stdout SHA-256 of the `pure-gaps` verb in text,
+csv and json against the golden digests.  A wrong result makes the harness
+report ``"correct": false`` and exit 1.
 """
 
 import json
@@ -10,13 +13,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_referee_round_is_correct():
+@pytest.mark.parametrize("workload", ["referee", "stream"])
+def test_round_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py",
-         "--workload", "referee", "--seed", "0", "--seconds", "0"],
+         "--workload", workload, "--seed", "0", "--seconds", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
