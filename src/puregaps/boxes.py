@@ -168,33 +168,40 @@ def pure_gaps_from_relative_maximals(
 
     A glb(beta^1, ..., beta^n) qualifies when each beta^l has its l-th
     coordinate strictly below the l-th coordinate of every other chosen
-    element; the glb is then (beta^1_1, ..., beta^n_n).  Reference brute-force
-    route over the positive relative maximal elements, with pairwise pruning.
+    element; the glb is then d = (beta^1_1, ..., beta^n_n).  Written out per
+    element, the pairwise condition reads beta^l_l = d_l and beta^l_j > d_j
+    for every j != l, which separates by coordinate: d qualifies iff every
+    coordinate l has a witness beta with beta_l = d_l that lies strictly above
+    d on the other coordinates.  So d is walked depth first, each value d_j
+    taken from the elements still above the prefix, and each fixed coordinate
+    keeps its surviving witnesses; raising d_j only thins those lists, so the
+    value loop stops at the first empty one.  Each glb comes out once, in
+    lexicographic order.
     """
     elems = sorted({tuple(e) for e in relative_maximals})
     for e in elems:
         if len(e) != n:
             raise ValueError(f"element {e} does not have dimension {n}")
-    out: set[TupleZ] = set()
-    chosen: list[TupleZ] = []
+    out: list[TupleZ] = []
 
-    def extend(pos: int) -> None:
-        if pos == n:
-            out.add(tuple(chosen[j][j] for j in range(n)))
+    def walk(prefix: TupleZ, pool: list[TupleZ], witnesses: list[list[TupleZ]]) -> None:
+        # pool: the elements above prefix on every fixed coordinate
+        j = len(prefix)
+        if j == n:
+            out.append(prefix)
             return
-        for cand in elems:
-            ok = True
-            for j in range(pos):
-                if not (chosen[j][j] < cand[j] and cand[pos] < chosen[j][pos]):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(cand)
-                extend(pos + 1)
-                chosen.pop()
+        carriers: dict[int, list[TupleZ]] = {}
+        for b in pool:
+            carriers.setdefault(b[j], []).append(b)
+        for v in sorted(carriers):
+            kept = [[b for b in w if b[j] > v] for w in witnesses]
+            above = [b for b in pool if b[j] > v] if j + 1 < n else pool
+            if not (above and all(kept)):
+                break
+            walk(prefix + (v,), above, kept + [carriers[v]])
 
-    extend(0)
-    return sorted(out)
+    walk((), elems, [])
+    return out
 
 
 def permutation_closed(tuples: Iterable[Sequence[int]]) -> bool:

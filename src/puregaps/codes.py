@@ -204,10 +204,22 @@ NORM_TRACE_LIKE_ROWS = (
 
 
 def _offsets_with_sum(curve: KummerCurve, n: int, k: int, target: int) -> tuple[int, ...]:
-    for a in b_k(curve, n, k).tuples():
-        if sum(a) == target:
-            return a
-    raise ValueError(f"no offset vector in the level-{k} box sums to {target}")
+    """The lexicographically first vector of prod_j [1, b_j] with coordinate sum target.
+
+    Each a_i is as small as the later coordinates allow when filled up to
+    their bounds: a_i = max(1, target - (a_1 + ... + a_{i-1}) - sum_{j>i} b_j).
+    """
+    box = b_k(curve, n, k)
+    bounds = box.bounds
+    if box.empty or any(b < 1 for b in bounds) or not n <= target <= sum(bounds):
+        raise ValueError(f"no offset vector in the level-{k} box sums to {target}")
+    out = []
+    rest = sum(bounds)
+    for b in bounds:
+        rest -= b
+        out.append(max(1, target - rest))
+        target -= out[-1]
+    return tuple(out)
 
 
 def generate_tables(row_specs: Iterable[TableRowSpec]) -> list[dict]:

@@ -37,7 +37,6 @@ its m-class sweep remain the reference they are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .curves import Divisor, KummerCurve, Place
@@ -125,8 +124,8 @@ def _class_dims(m: int, base: Sequence[int], alpha: Sequence[int]) -> dict[int, 
     """[l_s(alpha), c_s] for each class s = (-alpha_i) mod m, c_s counting the i in class s.
 
     These are the only classes that lowering coordinates of alpha can change;
-    see the module docstring.  Plain loops, because the scans call this once
-    per tuple and generator expressions cost about twice as much here.
+    see the module docstring.  The scans build the same table from a prefix
+    table instead (see _scan).
     """
     dims: dict[int, list[int]] = {}
     for a in alpha:
@@ -277,21 +276,61 @@ def verify_period(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive oracle sweeps.  These scan boxes with the one-residue tests of
-# the predicates only, so they are independent of every closed form they are
-# used to check.  product() yields each box in lexicographic order.
+# Oracle sweeps.  These walk boxes with the one-residue tests of the
+# predicates only, so they are independent of every closed form they are used
+# to check.  The walk is depth first with ascending values, so its output is in
+# lexicographic order; the pure-gap sweep also caps the coordinate sum at
+# 2g - 1, a Riemann-Roch bound that needs no closed form.
 # ---------------------------------------------------------------------------
 
 
 def _scan(
-    curve: KummerCurve, places: Sequence[Place] | int, test, ranges: Sequence[range]
+    curve: KummerCurve,
+    places: Sequence[Place] | int,
+    test,
+    ranges: Sequence[range],
+    cap: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """The tuples of the box ranges[0] x ... x ranges[n-1] that pass test, in lex order."""
+    """The tuples of ranges[0] x ... x ranges[-1] with sum at most cap that pass test, in lex order.
+
+    Each node of the walk carries the prefix class table
+    L[s] = base[s] + sum_{j<d} (a_j + s)//m, and l_s(alpha) is L[s] plus the
+    last term, so a leaf builds the [l_s, c_s] table of _class_dims in O(n)
+    instead of O(n^2).
+    """
     if isinstance(places, int):
         places = curve.ramified_places(places)
     _place_indices(curve, [0] * len(places), places)
-    m, n, base = curve.m, len(places), _class_base(curve)
-    return [alpha for alpha in product(*ranges) if test(_class_dims(m, base, alpha), n)]
+    m, n, last = curve.m, len(places), len(ranges) - 1
+    if last < 0:
+        return [()] if test({}, n) else []
+    # the least sum the coordinates after depth d can add
+    floor = [sum(rng.start for rng in ranges[d + 1:]) for d in range(last + 1)]
+    out: list[tuple[int, ...]] = []
+
+    def walk(prefix: tuple[int, ...], table: list[int], total: int) -> None:
+        d = len(prefix)
+        values = ranges[d]
+        if cap is not None:
+            values = range(values.start, min(values.stop, cap - total - floor[d] + 1))
+        if d < last:
+            for a in values:
+                walk(prefix + (a,), [t + (a + s) // m for s, t in enumerate(table)], total + a)
+            return
+        for a in values:
+            alpha = prefix + (a,)
+            dims: dict[int, list[int]] = {}
+            for b in alpha:
+                s = -b % m
+                if s in dims:
+                    dims[s][1] += 1
+                else:
+                    dims[s] = [table[s] + (a + s) // m, 1]
+            if test(dims, n):
+                out.append(alpha)
+
+    walk((), _class_base(curve), 0)
+    return out
 
 
 def pure_gap_box_scan(
@@ -299,16 +338,20 @@ def pure_gap_box_scan(
     places: Sequence[Place] | int,
     box_max: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """All pure gaps inside [1, box_max]^n, found by brute force.
+    """All pure gaps inside [1, box_max]^n, by the oracle walk over the simplex part of the box.
 
-    ``places`` is either the place tuple or just n (meaning P_1..P_n).  The
-    default box edge 2g covers every pure gap, since a coordinate sum of 2g or
-    more already lies in the semigroup.
+    ``places`` is either the place tuple or just n (meaning P_1..P_n).  Only
+    tuples with coordinate sum at most 2g - 1 are visited: at sum 2g or more,
+    deg(D_alpha - Q_i) >= 2g - 1, so Riemann-Roch gives ell(D_alpha - Q_i) =
+    ell(D_alpha) - 1 and alpha is no pure gap.  The default box edge 2g thus
+    covers every pure gap, and the walk visits C(2g - 1, n) tuples, not (2g)^n.
     """
     if box_max is None:
         box_max = 2 * curve.genus
     n = places if isinstance(places, int) else len(places)
-    return _scan(curve, places, _flat_everywhere, [range(1, box_max + 1)] * n)
+    return _scan(
+        curve, places, _flat_everywhere, [range(1, box_max + 1)] * n, cap=2 * curve.genus - 1
+    )
 
 
 def _window_scan(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puregaps import (
@@ -177,15 +177,50 @@ def test_pure_gaps_from_relative_maximals():
         pure_gaps_from_relative_maximals([(1, 2, 3)], 2)
 
 
-def test_glb_route_matches_oracle_on_small_curves():
-    for m, r in [(3, 4), (3, 5), (4, 3), (2, 7), (5, 4)]:
-        curve = KummerCurve(m, r)
-        for n in (2, 3):
-            if n > curve.r - curve.r // curve.m:
-                continue
+
+
+def ref_glbs(relative_maximals, n):
+    # the nested search the decoupled walk replaced: choose beta^1, ..., beta^n
+    # one by one, each checked pairwise against the earlier choices
+    elems = sorted({tuple(e) for e in relative_maximals})
+    out = set()
+    chosen = []
+
+    def extend(pos):
+        if pos == n:
+            out.add(tuple(chosen[j][j] for j in range(n)))
+            return
+        for cand in elems:
+            if all(chosen[j][j] < cand[j] and cand[pos] < chosen[j][pos] for j in range(pos)):
+                chosen.append(cand)
+                extend(pos + 1)
+                chosen.pop()
+
+    extend(0)
+    return sorted(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(*[st.integers(0, 12)] * n), max_size=25)
+    )
+))
+def test_glb_route_matches_nested_search(case):
+    n, elems = case
+    got = pure_gaps_from_relative_maximals(elems, n)
+    assert got == ref_glbs(elems, n)
+    assert all(a < b for a, b in zip(got, got[1:]))
+
+
+def test_glb_route_matches_oracle_on_small_curves(corpus):
+    for curve in corpus:
+        for n in range(2, min(curve.r - curve.r // curve.m, 4) + 1):
             via_glb = pure_gaps_from_relative_maximals(lambda_star(curve, n), n)
-            assert via_glb == pure_gap_box_scan(curve, n)
-            assert via_glb == sorted(pure_gaps(curve, n))
+            assert via_glb == pure_gap_box_scan(curve, n), (curve, n)
+            assert via_glb == list(pure_gaps(curve, n)), (curve, n)
+            if n <= 3:
+                assert via_glb == ref_glbs(lambda_star(curve, n), n), (curve, n)
 
 
 def test_permutation_closed():

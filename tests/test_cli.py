@@ -112,6 +112,32 @@ def test_verify_small_boxes(capsys):
         assert payload["routes"] == {"enumeration": want, "glb": want, "oracle": want}
 
 
+def cli_env():
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def verify_subprocess(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", "from puregaps.cli import console_entry; console_entry()",
+         "verify", *argv, "--format", "json"],
+        capture_output=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == b""
+    return json.loads(proc.stdout)
+
+
+def test_verify_end_to_end_at_four_places():
+    payload = verify_subprocess("--m", "5", "--r", "13", "--n", "4")
+    assert payload["ok"] is True and payload["box"] == 48
+    assert payload["routes"] == {"enumeration": 5780, "glb": 5780, "oracle": 5780}
+    # a box past 2g adds no pure gap
+    wide = verify_subprocess("--m", "5", "--r", "9", "--n", "3", "--max-box", "48")
+    default = verify_subprocess("--m", "5", "--r", "9", "--n", "3")
+    assert wide["ok"] is True and wide["box"] == 48 and default["box"] == 32
+    assert wide["routes"] == default["routes"] == {"enumeration": 382, "glb": 382, "oracle": 382}
+
+
 def test_verify_with_places_subset(capsys):
     code, out, _ = run(capsys, "verify", "--m", "3", "--r", "4", "--places", "2,4")
     assert code == 0 and "OK" in out
@@ -218,12 +244,10 @@ def test_malformed_places_is_a_usage_error(capsys):
 
 def test_broken_pipe_exits_141_quietly():
     # the reader takes one line and closes; the rest of the ~1 MB listing hits a closed pipe
-    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.Popen(
         [sys.executable, "-c", "from puregaps.cli import console_entry; console_entry()",
          "pure-gaps", "--m", "7", "--r", "40", "--n", "3"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
     )
     assert proc.stdout.readline() == b"1 1 1\n"
     proc.stdout.close()

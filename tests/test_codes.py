@@ -17,10 +17,11 @@ from puregaps import (
     goppa_params,
     hermitian_subcover_points,
     is_pure_gap,
+    max_level,
     norm_trace_like_points,
     shorten,
 )
-from puregaps.codes import _params
+from puregaps.codes import _offsets_with_sum, _params
 
 DATA = Path(__file__).parent / "data"
 
@@ -212,6 +213,27 @@ def test_tables_reproduce_fixtures_exactly():
     assert got1 == (DATA / "table1.csv").read_text()
     got2 = _render(generate_tables(NORM_TRACE_LIKE_ROWS), with_t=True)
     assert got2 == (DATA / "table2.csv").read_text()
+
+
+def test_offsets_with_sum_is_the_first_box_vector_with_that_sum():
+    def scanned(curve, n, k, target):  # the lexicographic box scan the closed form replaced
+        for a in b_k(curve, n, k).tuples():
+            if sum(a) == target:
+                return a
+        return None
+
+    for spec in HERMITIAN_SUBCOVER_ROWS + NORM_TRACE_LIKE_ROWS:
+        curve = spec.curve()
+        for n in range(2, min(curve.r, 5) + 1):
+            for k in range(max_level(curve, n) + 2):  # one level past the last is empty
+                bounds = b_k(curve, n, k).bounds
+                for target in range(n - 1, max(sum(bounds), n) + 2):
+                    want = scanned(curve, n, k, target)
+                    if want is None:
+                        with pytest.raises(ValueError):
+                            _offsets_with_sum(curve, n, k, target)
+                    else:
+                        assert _offsets_with_sum(curve, n, k, target) == want
 
 
 def test_generate_tables_empty():

@@ -22,6 +22,12 @@ from puregaps import (
     verify_period,
 )
 from puregaps.riemann_roch import (
+    _absolute,
+    _class_base,
+    _class_dims,
+    _flat_everywhere,
+    _relative,
+    _scan,
     absolute_maximals_window_scan,
     pure_gap_box_scan,
     relative_maximals_window_scan,
@@ -319,6 +325,84 @@ def test_scans_match_ell_brute_force(corpus):
                 assert relative_maximals_window_scan(curve, places, lo, hi) == [
                     a for a in window if ref_is_relative_maximal(curve, a, places)
                 ]
+
+
+# --- the oracle walk against the full box scan it replaced -------------------
+#
+# ref_scan is the product-and-_class_dims scan: every tuple of the box, its
+# class table rebuilt for every tuple, no cap on the coordinate sum.
+
+
+def ref_scan(curve, places, test, ranges):
+    m, base = curve.m, _class_base(curve)
+    return [a for a in product(*ranges) if test(_class_dims(m, base, a), len(places))]
+
+
+def check_window_scans(curve, places, first_min=None, first_max=None):
+    n, m = len(places), curve.m
+    lo = -(n - 1) * (m - 1) if first_min is None else first_min
+    hi = 2 * curve.genus if first_max is None else first_max
+    ranges = [range(lo, hi + 1)] + [range(m)] * (n - 1)
+    assert absolute_maximals_window_scan(curve, places, first_min, first_max) == ref_scan(
+        curve, places, _absolute, ranges
+    )
+    assert relative_maximals_window_scan(curve, places, first_min, first_max) == ref_scan(
+        curve, places, _relative, ranges
+    )
+
+
+def check_box_scan(curve, places, boxes):
+    # one full scan at the largest box; smaller boxes are its lex-ordered sublists
+    top = ref_scan(curve, places, _flat_everywhere, [range(1, max(boxes) + 1)] * len(places))
+    for box in boxes:
+        want = [a for a in top if max(a) <= box]
+        assert pure_gap_box_scan(curve, places, box_max=box) == want, (curve, places, box)
+
+
+def test_scan_walks_exactly_the_capped_box():
+    # with a test that passes everything, the walk returns the box part under the cap
+    places = C59.ramified_places(3)
+    boxes = (
+        [range(1, 7)] * 3,
+        [range(-4, 3), range(0, 5), range(2, 4)],
+        [range(1, 4), range(0), range(1, 4)],
+    )
+    for ranges in boxes:
+        for cap in (None, -3, 0, 3, 7, 30):
+            want = [a for a in product(*ranges) if cap is None or sum(a) <= cap]
+            assert _scan(C59, places, lambda dims, n: True, ranges, cap) == want, (ranges, cap)
+
+
+def test_box_scan_matches_full_box_scan(corpus):
+    for curve in corpus:
+        m, g = curve.m, curve.genus
+        for n in range(1, min(curve.r, 3 if g > 4 else 4) + 1):
+            for places in dict.fromkeys([curve.ramified_places(n), curve.ramified_places()[-n:]]):
+                check_box_scan(curve, places, (0, 1, m, g, 2 * g, 3 * g))
+
+
+def test_window_scans_match_full_window_scan(corpus):
+    for curve in corpus:
+        for n in range(1, min(curve.r, 3) + 1):
+            check_window_scans(curve, curve.ramified_places()[-n:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_curve, st.data())
+def test_scans_match_full_box_scan_random(mr, data):
+    curve = KummerCurve(*mr)
+    m, g = curve.m, curve.genus
+    idx = data.draw(
+        st.lists(st.integers(1, curve.r), min_size=1, max_size=min(curve.r, 4), unique=True)
+    )
+    places = tuple(curve.place(j) for j in idx)
+    n = len(places)
+    edge = int(20000 ** (1 / n))  # keeps the reference scan near 2e4 tuples
+    box = data.draw(st.integers(0, min(3 * g, edge)))
+    check_box_scan(curve, places, (box,))
+    lo = data.draw(st.integers(-(n - 1) * (m - 1), 2 * g))
+    hi = data.draw(st.integers(lo - 1, lo + max(0, edge // m ** (n - 1))))
+    check_window_scans(curve, places, lo, hi)
 
 
 # --- discrepancies and periods ---------------------------------------------
