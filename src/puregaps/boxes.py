@@ -16,7 +16,6 @@ assumes Kummer closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -31,28 +30,6 @@ def glb(tuples: Iterable[Sequence[int]]) -> TupleZ:
     if len({len(t) for t in ts}) != 1:
         raise ValueError("glb needs tuples of equal dimension")
     return tuple(min(col) for col in zip(*ts))
-
-
-def lub(tuples: Iterable[Sequence[int]]) -> TupleZ:
-    """Componentwise maximum of a nonempty collection of equal-length tuples."""
-    ts = [tuple(t) for t in tuples]
-    if not ts:
-        raise ValueError("lub of an empty collection is undefined")
-    if len({len(t) for t in ts}) != 1:
-        raise ValueError("lub needs tuples of equal dimension")
-    return tuple(max(col) for col in zip(*ts))
-
-
-def w_vector(ks: Sequence[int], period: int) -> TupleZ:
-    """The translation vector (-period * sum(ks), ks[0]*period, ..., ks[-1]*period).
-
-    ks holds the box indices of coordinates 2..n; coordinates sum to zero.
-    """
-    if period < 1:
-        raise ValueError("period must be positive")
-    if any(k < 0 for k in ks):
-        raise ValueError("box indices must be nonnegative")
-    return (-period * sum(ks), *(k * period for k in ks))
 
 
 def compositions(total: int, parts: int) -> Iterator[TupleZ]:
@@ -80,7 +57,6 @@ class MaximalFamily:
 
     period: int
     n: int
-    kind: str  # "absolute" | "relative"
     box0: Mapping[int, tuple[TupleZ, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,8 +64,6 @@ class MaximalFamily:
             raise ValueError("period must be positive")
         if self.n < 2:
             raise ValueError("families need n >= 2 places")
-        if self.kind not in ("absolute", "relative"):
-            raise ValueError(f"kind must be 'absolute' or 'relative', got {self.kind!r}")
         pi = self.period
         normalized: dict[int, tuple[TupleZ, ...]] = {}
         for k, elems in self.box0.items():
@@ -110,14 +84,14 @@ class MaximalFamily:
 
     @classmethod
     def from_window_elements(
-        cls, period: int, n: int, kind: str, elements: Iterable[Sequence[int]]
+        cls, period: int, n: int, elements: Iterable[Sequence[int]]
     ) -> "MaximalFamily":
         """Group fundamental-window elements by their level on the first axis."""
         grouped: dict[int, list[TupleZ]] = {}
         for e in elements:
             t = tuple(e)
             grouped.setdefault(t[0] // period, []).append(t)
-        return cls(period, n, kind, {k: tuple(v) for k, v in grouped.items()})
+        return cls(period, n, {k: tuple(v) for k, v in grouped.items()})
 
     def box(self, k: int) -> tuple[TupleZ, ...]:
         return self.box0.get(k, ())
@@ -140,7 +114,7 @@ def translate_box(family: MaximalFamily, ks: Sequence[int]) -> list[TupleZ]:
         raise ValueError(f"expected {family.n} box indices, got {len(ks)}")
     if any(k < 0 for k in ks):
         raise ValueError("box indices must be nonnegative")
-    w = w_vector(ks[1:], family.period)
+    w = (-family.period * sum(ks[1:]), *(k * family.period for k in ks[1:]))
     return [tuple(a + b for a, b in zip(e, w)) for e in family.box(sum(ks))]
 
 
@@ -203,12 +177,3 @@ def pure_gaps_from_relative_maximals(
     walk((), elems, [])
     return out
 
-
-def permutation_closed(tuples: Iterable[Sequence[int]]) -> bool:
-    """Whether the set is stable under permuting coordinates."""
-    pool = {tuple(t) for t in tuples}
-    for t in pool:
-        for p in permutations(t):
-            if p not in pool:
-                return False
-    return True

@@ -189,17 +189,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_codes_table(args) -> int:
-    if args.family == "hermitian-subcover":
-        if args.t is not None:
-            raise ValueError("--t applies only to the norm-trace-like family")
-        curve = KummerCurve(args.m, args.q)
-        points = codes_mod.hermitian_subcover_points(args.q, args.m)
-    else:
-        if args.t is None:
-            raise ValueError("the norm-trace-like family needs --t")
-        root = args.q ** (args.t // 2)
-        points = codes_mod.norm_trace_like_points(args.q, args.t, args.m)
-        curve = KummerCurve(args.m, root, root - 1)
+    if args.family == "hermitian-subcover" and args.t is not None:
+        raise ValueError("--t applies only to the norm-trace-like family")
+    if args.family == "norm-trace-like" and args.t is None:
+        raise ValueError("the norm-trace-like family needs --t")
+    curve, _ = codes_mod.family_curve_points(args.family, args.q, args.m, args.t)
 
     ns = [args.n] if args.n is not None else list(range(2, curve.r - curve.r // curve.m))
     sweeping = args.n is None or args.k is None

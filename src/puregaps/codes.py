@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .curves import KummerCurve
 from .errors import DegreeWindowError
@@ -92,22 +92,6 @@ def goppa_params(length: int, degree: int, genus: int) -> tuple[int, int]:
     return length - degree - 1 + genus, degree - (2 * genus - 2)
 
 
-def carvalho_torres_bound(
-    genus: int, degree: int, n: int, alpha: Sequence[int], beta: Sequence[int]
-) -> int:
-    """Distance floor from a componentwise interval of pure gaps.
-
-    Requires alpha <= beta componentwise and every tuple between them to be a
-    pure gap (the caller certifies the box property); the floor is
-    deg(G) - (2g-2) + n + sum(beta_i - alpha_i).
-    """
-    if len(alpha) != n or len(beta) != n:
-        raise ValueError("alpha and beta must have one entry per place")
-    if any(a > b for a, b in zip(alpha, beta)):
-        raise ValueError(f"need alpha <= beta componentwise, got {tuple(alpha)} and {tuple(beta)}")
-    return degree - (2 * genus - 2) + n + sum(b - a for a, b in zip(alpha, beta))
-
-
 def design_code(spec: CodeSpec) -> CodeParams:
     """Parameters of the differential code built on the spec's pure-gap cell."""
     curve, n, k = spec.curve, spec.n, spec.k
@@ -162,6 +146,18 @@ def norm_trace_like_points(q: int, t: int, m: int) -> int:
     return (q**t - root) * m + root + 1
 
 
+def family_curve_points(family: str, q: int, m: int, t: int | None) -> tuple[KummerCurve, int]:
+    """The curve of a code-table family instance and its number of rational points."""
+    if family == "hermitian-subcover":
+        curve = KummerCurve(m, q)  # checked before the point count
+        return curve, hermitian_subcover_points(q, m)
+    if family == "norm-trace-like":
+        points = norm_trace_like_points(q, t, m)  # checked before the curve
+        root = q ** (t // 2)
+        return KummerCurve(m, root, root - 1), points
+    raise ValueError(f"unknown family {family!r}")
+
+
 @dataclass(frozen=True)
 class TableRowSpec:
     """One family instance and cell choice, expanded into one row per offset sum."""
@@ -173,19 +169,6 @@ class TableRowSpec:
     k: int
     a_values: tuple[int, ...]
     t: int | None = None
-
-    def curve(self) -> KummerCurve:
-        if self.family == "hermitian-subcover":
-            return KummerCurve(self.m, self.q)
-        if self.family == "norm-trace-like":
-            root = self.q ** (self.t // 2)
-            return KummerCurve(self.m, root, root - 1)
-        raise ValueError(f"unknown family {self.family!r}")
-
-    def points(self) -> int:
-        if self.family == "hermitian-subcover":
-            return hermitian_subcover_points(self.q, self.m)
-        return norm_trace_like_points(self.q, self.t, self.m)
 
 
 HERMITIAN_SUBCOVER_ROWS = (
@@ -226,8 +209,8 @@ def generate_tables(row_specs: Iterable[TableRowSpec]) -> list[dict]:
     """Expand row specs into concrete parameter rows, one per offset sum."""
     rows = []
     for spec in row_specs:
-        curve = spec.curve()
-        length = spec.points() - spec.n
+        curve, points = family_curve_points(spec.family, spec.q, spec.m, spec.t)
+        length = points - spec.n
         partition = (spec.k,) + (0,) * (spec.n - 1)
         for a_sum in spec.a_values:
             a = _offsets_with_sum(curve, spec.n, spec.k, a_sum)

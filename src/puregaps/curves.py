@@ -45,13 +45,6 @@ class Place:
 INFINITY = Place(0)
 
 
-def ramified_place(j: int) -> Place:
-    """The branch place P_j, 1-based."""
-    if j < 1:
-        raise ValueError(f"ramified place index must be >= 1, got {j}")
-    return Place(j)
-
-
 class Divisor:
     """An integer formal sum of places, immutable.
 
@@ -185,10 +178,6 @@ class KummerCurve:
         if not 1 <= j <= self.r:
             raise ValueError(f"branch place index must be in 1..{self.r}, got {j}")
         return Place(j)
-
-    @property
-    def infinity(self) -> Place:
-        return INFINITY
 
     def ramified_places(self, n: int | None = None) -> tuple[Place, ...]:
         """The first n branch places (all r of them when n is omitted)."""

@@ -9,8 +9,8 @@ the recursion
     D_1(a_1) = a_1
     D_n(a) = a_n^n + sum_{i<n} C(n,i) * a_n^(n-i) * D_i(a_1 - a_n, ..., a_i - a_n)
 
-which gives |union over permutations of B| for non-increasing positive bounds
-and is checked against explicit set enumeration in the tests.
+which gives |union over permutations of B| for non-increasing positive bounds;
+reference.union_count_bruteforce checks it by explicit set enumeration.
 
 The same cells give a pointwise test.  Write t_i = c_i*m + u_i with
 1 <= u_i <= m - 1.  Then t is a pure gap exactly when its level
@@ -175,24 +175,6 @@ def union_count(bounds: Sequence[int]) -> int:
     for i in range(1, n):
         total += comb(n, i) * last ** (n - i) * union_count(tuple(x - last for x in a[:i]))
     return total
-
-
-def union_count_bruteforce(bounds: Sequence[int]) -> int:
-    """|union over permutations of the box| by explicit set enumeration.
-
-    Independent oracle for union_count; limited to n <= 5 and bounds <= 8 to
-    keep the enumeration budget explicit.
-    """
-    a = tuple(int(x) for x in bounds)
-    n = len(a)
-    if n < 1:
-        raise ValueError("need at least one bound")
-    if any(a[i] < a[i + 1] for i in range(n - 1)) or a[-1] < 1:
-        raise ValueError(f"bounds must be non-increasing and positive, got {a}")
-    if n > 5 or a[0] > 8:
-        raise ValueError(f"enumeration budget exceeded for bounds {a} (n <= 5, max 8)")
-    box = product(*(range(1, b + 1) for b in a))
-    return len({p for t in box for p in permutations(t)})
 
 
 def pure_gap_count(curve: KummerCurve, n: int) -> int:

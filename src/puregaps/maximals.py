@@ -131,10 +131,10 @@ def lambda_star(curve: KummerCurve, n: int) -> list[TupleZ]:
 def absolute_family(curve: KummerCurve, n: int) -> MaximalFamily:
     """Level-box family generating the positive absolute maximal set."""
     elems = [e for e in gamma_hat_box(curve, n) if min(e) > 0]
-    return MaximalFamily.from_window_elements(curve.period, n, "absolute", elems)
+    return MaximalFamily.from_window_elements(curve.period, n, elems)
 
 
 def relative_family(curve: KummerCurve, n: int) -> MaximalFamily:
     """Level-box family generating the positive relative maximal set."""
     elems = [e for e in lambda_hat_box(curve, n) if min(e) > 0]
-    return MaximalFamily.from_window_elements(curve.period, n, "relative", elems)
+    return MaximalFamily.from_window_elements(curve.period, n, elems)

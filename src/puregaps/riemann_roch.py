@@ -54,9 +54,6 @@ class EllResult:
     dim: int
     per_residue: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "per_residue": list(self.per_residue)}
-
 
 def _per_residue(m: int, r: int, coeffs: dict[int, int], a_inf: int) -> list[int]:
     # (a_j + s)//m == 0 whenever a_j == 0 and 0 <= s < m, so zero coefficients
@@ -201,10 +198,7 @@ def is_pure_gap(
     curve: KummerCurve, alpha: Sequence[int], places: Sequence[Place] | None = None
 ) -> bool:
     """Whether alpha is a pure gap: a gap with ell(D_alpha) = ell(D_alpha - Q_j) for all j."""
-    _place_indices(curve, alpha, places)
-    if any(a < 0 for a in alpha):
-        return False
-    return _flat_everywhere(_class_dims(curve.m, _class_base(curve), alpha), len(alpha))
+    return _holds(_flat_everywhere, curve, alpha, places) and min(alpha, default=0) >= 0
 
 
 def is_absolute_maximal(
@@ -284,12 +278,17 @@ def verify_period(
 # ---------------------------------------------------------------------------
 
 
+def _scan_places(curve: KummerCurve, places: Sequence[Place] | int) -> int:
+    """The n of a scan: places is the place tuple, or n meaning P_1..P_n; n = 0 is refused."""
+    if isinstance(places, int):
+        places = curve.ramified_places(places)
+    if not places:
+        raise ValueError("a scan needs at least one place")
+    return len(_place_indices(curve, [0] * len(places), places))
+
+
 def _scan(
-    curve: KummerCurve,
-    places: Sequence[Place] | int,
-    test,
-    ranges: Sequence[range],
-    cap: int | None = None,
+    curve: KummerCurve, test, ranges: Sequence[range], cap: int | None = None
 ) -> list[tuple[int, ...]]:
     """The tuples of ranges[0] x ... x ranges[-1] with sum at most cap that pass test, in lex order.
 
@@ -298,12 +297,7 @@ def _scan(
     last term, so a leaf builds the [l_s, c_s] table of _class_dims in O(n)
     instead of O(n^2).
     """
-    if isinstance(places, int):
-        places = curve.ramified_places(places)
-    _place_indices(curve, [0] * len(places), places)
-    m, n, last = curve.m, len(places), len(ranges) - 1
-    if last < 0:
-        return [()] if test({}, n) else []
+    m, n, last = curve.m, len(ranges), len(ranges) - 1
     # the least sum the coordinates after depth d can add
     floor = [sum(rng.start for rng in ranges[d + 1:]) for d in range(last + 1)]
     out: list[tuple[int, ...]] = []
@@ -346,12 +340,10 @@ def pure_gap_box_scan(
     ell(D_alpha) - 1 and alpha is no pure gap.  The default box edge 2g thus
     covers every pure gap, and the walk visits C(2g - 1, n) tuples, not (2g)^n.
     """
+    n = _scan_places(curve, places)
     if box_max is None:
         box_max = 2 * curve.genus
-    n = places if isinstance(places, int) else len(places)
-    return _scan(
-        curve, places, _flat_everywhere, [range(1, box_max + 1)] * n, cap=2 * curve.genus - 1
-    )
+    return _scan(curve, _flat_everywhere, [range(1, box_max + 1)] * n, cap=2 * curve.genus - 1)
 
 
 def _window_scan(
@@ -361,13 +353,12 @@ def _window_scan(
     first_min: int | None,
     first_max: int | None,
 ) -> list[tuple[int, ...]]:
-    n = places if isinstance(places, int) else len(places)
-    m = curve.m
+    n, m = _scan_places(curve, places), curve.m
     if first_min is None:
         first_min = -(n - 1) * (m - 1)  # deg >= 0 forces this much at the first place
     if first_max is None:
         first_max = 2 * curve.genus
-    return _scan(curve, places, test, [range(first_min, first_max + 1)] + [range(m)] * (n - 1))
+    return _scan(curve, test, [range(first_min, first_max + 1)] + [range(m)] * (n - 1))
 
 
 def absolute_maximals_window_scan(

@@ -30,7 +30,6 @@ from puregaps import (
     is_relative_maximal,
     lambda_hat_box,
     lambda_star,
-    permutation_closed,
     pure_gap_box_scan,
     pure_gap_count,
     pure_gap_count_multiple_plus_one,
@@ -40,9 +39,9 @@ from puregaps import (
     relative_maximals_window_scan,
     translate_box,
     union_count,
-    union_count_bruteforce,
     verify_period,
 )
+from puregaps.reference import permutation_closed, union_count_bruteforce
 
 CORPUS = small_curves(max_genus=10)
 

@@ -200,6 +200,21 @@ def test_codes_table_requires_t(capsys):
     assert code == 2 and "needs --t" in err
 
 
+@pytest.mark.parametrize(
+    "flags, line",
+    [
+        # both the curve and the point count are invalid; each family reports its own first check
+        (["--family", "hermitian-subcover", "--q", "4", "--m", "2"],
+         "error: gcd(m, lambda*r) must be 1, got gcd(2, 4) = 2"),
+        (["--family", "norm-trace-like", "--q", "4", "--m", "3", "--t", "2"],
+         "error: m = 3 must be coprime to q^(t/2) - 1 = 3"),
+    ],
+)
+def test_codes_table_check_order(capsys, flags, line):
+    code, out, err = run(capsys, "codes", "table", *flags)
+    assert code == 2 and out == "" and err == line + "\n"
+
+
 def test_plot_data_schema(capsys):
     code, out, _ = run(capsys, "plot-data", "--m", "5", "--r", "9")
     payload = json.loads(out)

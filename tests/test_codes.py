@@ -11,7 +11,6 @@ from puregaps import (
     DegreeWindowError,
     KummerCurve,
     b_k,
-    carvalho_torres_bound,
     design_code,
     generate_tables,
     goppa_params,
@@ -21,7 +20,8 @@ from puregaps import (
     norm_trace_like_points,
     shorten,
 )
-from puregaps.codes import _offsets_with_sum, _params
+from puregaps.codes import _offsets_with_sum, _params, family_curve_points
+from puregaps.reference import carvalho_torres_bound
 
 DATA = Path(__file__).parent / "data"
 
@@ -223,7 +223,7 @@ def test_offsets_with_sum_is_the_first_box_vector_with_that_sum():
         return None
 
     for spec in HERMITIAN_SUBCOVER_ROWS + NORM_TRACE_LIKE_ROWS:
-        curve = spec.curve()
+        curve, _ = family_curve_points(spec.family, spec.q, spec.m, spec.t)
         for n in range(2, min(curve.r, 5) + 1):
             for k in range(max_level(curve, n) + 2):  # one level past the last is empty
                 bounds = b_k(curve, n, k).bounds
@@ -238,3 +238,17 @@ def test_offsets_with_sum_is_the_first_box_vector_with_that_sum():
 
 def test_generate_tables_empty():
     assert generate_tables([]) == []
+
+
+def test_family_curve_points():
+    # point counts are N + n of the rows in tests/data
+    assert family_curve_points("hermitian-subcover", 7, 4, None) == (KummerCurve(4, 7), 174 + 2)
+    assert family_curve_points("norm-trace-like", 2, 9, 6) == (KummerCurve(9, 8, 7), 511 + 2)
+    assert family_curve_points("norm-trace-like", 3, 5, 4) == (KummerCurve(5, 9, 8), 367 + 3)
+    with pytest.raises(ValueError, match="unknown family"):
+        family_curve_points("hermitian", 7, 4, None)
+    # an instance bad on both counts: hermitian checks the curve first, norm-trace-like the points
+    with pytest.raises(ValueError, match="gcd"):
+        family_curve_points("hermitian-subcover", 4, 2, None)
+    with pytest.raises(ValueError, match="coprime"):
+        family_curve_points("norm-trace-like", 4, 3, 2)

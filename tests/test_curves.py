@@ -9,7 +9,6 @@ from puregaps import (
     Place,
     divisor_from_tuple,
     ell,
-    ramified_place,
 )
 
 
@@ -133,8 +132,6 @@ def test_divisor_algebra():
 def test_place_validation():
     with pytest.raises(ValueError):
         Place(-1)
-    with pytest.raises(ValueError):
-        ramified_place(0)
     assert INFINITY.is_infinity and not Place(3).is_infinity
     c = KummerCurve(3, 4)
     with pytest.raises(ValueError):

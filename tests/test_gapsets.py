@@ -14,7 +14,6 @@ from puregaps import (
     is_pure_gap,
     lambda_star,
     max_level,
-    permutation_closed,
     plot_data,
     pure_gap_box_scan,
     pure_gap_count,
@@ -22,9 +21,9 @@ from puregaps import (
     pure_gap_count_two_places,
     pure_gaps,
     union_count,
-    union_count_bruteforce,
 )
 from puregaps.gapsets import _sigma_union
+from puregaps.reference import permutation_closed, union_count_bruteforce
 
 C34 = KummerCurve(3, 4)
 C59 = KummerCurve(5, 9)

@@ -4,8 +4,11 @@ The round checks every job it times: for `referee`, the `verify` routes
 against the recorded golden payloads and the window scans against their
 closed forms; for `stream`, the pure-gap stream against the exact count and
 lexicographic order, and the stdout SHA-256 of the `pure-gaps` verb in text,
-csv and json against the golden digests.  A wrong result makes the harness
-report ``"correct": false`` and exit 1.
+csv and json against the golden digests; for `queries`, the small library
+calls, among them the code tables against `tests/data`, the positive maximal
+sets against their level-box families, the period search and the count
+closed forms.  A wrong result makes the harness report ``"correct": false``
+and exit 1.
 """
 
 import json
@@ -18,7 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["referee", "stream"])
+@pytest.mark.parametrize("workload", ["referee", "stream", "queries"])
 def test_round_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py",

@@ -361,7 +361,6 @@ def check_box_scan(curve, places, boxes):
 
 def test_scan_walks_exactly_the_capped_box():
     # with a test that passes everything, the walk returns the box part under the cap
-    places = C59.ramified_places(3)
     boxes = (
         [range(1, 7)] * 3,
         [range(-4, 3), range(0, 5), range(2, 4)],
@@ -370,7 +369,17 @@ def test_scan_walks_exactly_the_capped_box():
     for ranges in boxes:
         for cap in (None, -3, 0, 3, 7, 30):
             want = [a for a in product(*ranges) if cap is None or sum(a) <= cap]
-            assert _scan(C59, places, lambda dims, n: True, ranges, cap) == want, (ranges, cap)
+            assert _scan(C59, lambda dims, n: True, ranges, cap) == want, (ranges, cap)
+
+
+@pytest.mark.parametrize(
+    "scan", [pure_gap_box_scan, absolute_maximals_window_scan, relative_maximals_window_scan]
+)
+def test_scans_refuse_an_empty_place_tuple(scan):
+    # n = 0 is refused whether it is given as a count or as the empty tuple
+    for places in (0, ()):
+        with pytest.raises(ValueError):
+            scan(C34, places)
 
 
 def test_box_scan_matches_full_box_scan(corpus):
@@ -456,7 +465,3 @@ def test_verify_period_validation():
     with pytest.raises(PeriodSearchError):
         verify_period(C34, C34.place(1), C34.place(2), bound=2)
 
-
-def test_ell_result_json():
-    res = ell(C34, Divisor())
-    assert res.to_json() == {"dim": 1, "per_residue": [1, -1, -2]}
