@@ -58,15 +58,11 @@ def _places_count(args, curve: KummerCurve) -> tuple[int, list[int]]:
 
 
 def _emit_tuples(tuples, fmt: str) -> None:
-    """One tuple a line (text: space-separated, csv: comma-separated), or one JSON list.
+    """One tuple a line, space-separated (text) or comma-separated (csv).
 
-    Text and csv lines go out in chunks of _CHUNK_LINES, one write each.  All
-    tuples of one call have the same length, so one %-format serves them all;
-    on int tuples, % with %s is the fastest of print, str.join and str.format.
+    Lines go out in chunks of _CHUNK_LINES, one write each.  All tuples of one
+    call have the same length, so one %-format serves them all.
     """
-    if fmt == "json":
-        print(json.dumps([list(t) for t in tuples]))
-        return
     it = iter(tuples)
     chunk = list(islice(it, _CHUNK_LINES))
     if not chunk:
@@ -75,6 +71,34 @@ def _emit_tuples(tuples, fmt: str) -> None:
     while chunk:
         sys.stdout.write("".join(map(line.__mod__, chunk)))
         chunk = list(islice(it, _CHUNK_LINES))
+
+
+def _emit_pure_gaps(curve: KummerCurve, n: int, fmt: str) -> None:
+    """The pure-gap stream in text, csv or JSON, rendered a block at a time.
+
+    Each block of gapsets.pure_gap_blocks is one prefix rendered once as head,
+    joined with the memoized strings of its last coordinates: head + "t\n"
+    a line, or "[" + prefix + ", " + "t]" a JSON element.  The JSON bytes are
+    those of json.dumps([list(t) for t in pure_gaps(curve, n)]), written in
+    chunks like the lines, so memory stays bounded by a chunk and the block
+    memo.  A chunk is whole blocks of at least _CHUNK_LINES tuples.
+    """
+    if fmt == "json":
+        sep, opener, between, closer, leaf = ", ", "[", ", ", "]\n", "%d]"
+    else:
+        sep, opener, between, closer, leaf = ("," if fmt == "csv" else " "), "", "", "", "%d\n"
+    chunk, lines, lead = [], 0, opener  # lead goes before the next block
+    for prefix, tails in gapsets.pure_gap_blocks(curve, n, leaf.__mod__):
+        head = opener + sep.join(map(str, prefix)) + sep
+        chunk.append(lead + head + (between + head).join(tails))
+        lead = between
+        lines += len(tails)
+        if lines >= _CHUNK_LINES:
+            sys.stdout.write("".join(chunk))
+            chunk, lines = [], 0
+    if lead == opener:  # no block: JSON still prints its empty list
+        chunk.append(opener)
+    sys.stdout.write("".join(chunk) + closer)
 
 
 def cmd_info(args) -> int:
@@ -119,7 +143,7 @@ def cmd_pure_gaps(args) -> int:
     if args.count:
         print(gapsets.pure_gap_count(curve, n))
         return 0
-    _emit_tuples(gapsets.pure_gaps(curve, n), args.format)
+    _emit_pure_gaps(curve, n, args.format)
     return 0
 
 

@@ -24,6 +24,14 @@ completes it, and no branch of the walk dies.  At one level, the residues
 that extend a kept prefix form an interval 1..u_max, since a larger u sorts
 to a pointwise larger vector; and once a prefix fails at a level it fails at
 every higher one, since the bounds do not grow with k.
+
+The test reads a prefix only through the descending sort of its residues and
+its level, so the last coordinates that complete an (n-1)-prefix, its block,
+depend on that pair alone.  The walk builds each block once per pair, as a
+list of leaves made by a constructor the caller passes in, and hands out the
+same list for every prefix of that class: 1-tuples for the tuple stream,
+rendered strings for the CLI.  Over the benchmark's stream pool there are
+about eleven prefixes per distinct block.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .boxes import TupleZ, compositions
 from .curves import KummerCurve
@@ -103,58 +111,98 @@ def g_k_zero(curve: KummerCurve, n: int, k: int) -> list[TupleZ]:
 def pure_gaps(curve: KummerCurve, n: int) -> Iterator[TupleZ]:
     """Lexicographically ordered stream of every pure gap at P_1, ..., P_n.
 
-    A depth-first walk over the residue/level test of the module docstring.
-    It keeps no cells and no heap, only the extension ranges of each
-    (sorted residues, level) pair it has met.  n is checked on the call.
+    The blocks of pure_gap_blocks with 1-tuple leaves, each appended to its
+    prefix.  A block is shared by every prefix with the same sorted residues
+    and level (see the module docstring), so the walk keeps one list per such
+    pair and no heap.  n is checked on the call.
+    """
+    blocks = pure_gap_blocks(curve, n, lambda t: (t,))
+    return chain.from_iterable(map(prefix.__add__, block) for prefix, block in blocks)
+
+
+def pure_gap_blocks(
+    curve: KummerCurve, n: int, leaf: Callable[[int], object]
+) -> Iterator[tuple[TupleZ, list]]:
+    """The pure-gap stream in blocks: (prefix, [leaf(t) for every t completing prefix]).
+
+    One pair per (n-1)-prefix, in lexicographic order, with t ascending in
+    each block; blocks are never empty.  A block list is shared by every
+    prefix of the same sorted residues and level, so callers must not mutate
+    it.  n is checked on the call.
     """
     _require_places(curve, n)
-    bounds = [b_k(curve, n, k).bounds for k in range(max_level(curve, n) + 1)]
-    return chain.from_iterable(_lex_walk(curve.m, n, bounds))
+    return _BlockWalk(curve.m, n, _level_bounds(curve, n), leaf).walk((), (), 0)
 
 
-def _lex_walk(m: int, n: int, bounds: Sequence[TupleZ]) -> Iterator[Iterator[TupleZ]]:
-    """Runs of the pure-gap stream, in order: one iterator per prefix and last-coordinate cell.
+def _level_bounds(curve: KummerCurve, n: int) -> list[TupleZ]:
+    """The bounds of b_k for k = 0..max_level in one pass: bound j of level k is cap[k + j]."""
+    m, r = curve.m, curve.r
+    levels = max_level(curve, n) + 1
+    cap = [m - -(-(m * s) // r) for s in range(levels + n)]
+    return [tuple(cap[k + 1 : k + n + 1]) for k in range(levels)]
+
+
+class _BlockWalk:
+    """The depth-first walk behind pure_gap_blocks, with its memos.
 
     A prefix is extended by t_j = c*m + u with c, then u, ascending, so the
-    stream comes out in lexicographic order.  residues holds the prefix's
-    residues sorted descending, d_0 >= d_1 >= ...
+    stream comes out in lexicographic order.  residues holds a prefix's
+    residues sorted descending, d_0 >= d_1 >= ...  The walk is a class, not a
+    recursive closure, because a closure that calls itself is a reference
+    cycle: it would keep the memos alive after the stream ends, until the
+    cyclic collector finds them.
     """
-    top = len(bounds) - 1
-    singles = [(t,) for t in range((top + 1) * m)]
-    memo: dict[tuple[TupleZ, int], list[tuple[int, int]]] = {}
 
-    def extensions(residues: TupleZ, k: int) -> list[tuple[int, int]]:
+    def __init__(self, m: int, n: int, bounds: Sequence[TupleZ], leaf: Callable[[int], object]):
+        self.m, self.n, self.bounds = m, n, bounds
+        self.leaves = [leaf(t) for t in range(len(bounds) * m)]
+        self.memo: dict[tuple[TupleZ, int], list[tuple[int, int]]] = {}
+        self.blocks: dict[tuple[TupleZ, int], list] = {}
+
+    def extensions(self, residues: TupleZ, k: int) -> list[tuple[int, int]]:
         """The next coordinates that keep a prefix completable: ranges [c*m + 1, c*m + u_max + 1).
 
         With u added, the i-th largest residue is max(d_i, min(u, d_{i-1})).
         So at bounds b the prefix takes u exactly when every d_i <= b_i, and
-        u <= b_0, and u <= b_i wherever d_{i-1} > b_i.  Once the prefix
-        itself fails, every higher level fails too.
+        u <= b_0, and u <= b_i wherever d_{i-1} > b_i; the bounds do not grow
+        with i, so the last such b_i is the least.  Once the prefix itself
+        fails, every higher level fails too.
         """
-        found = memo.get((residues, k))
+        found = self.memo.get((residues, k))
         if found is None:
-            found = []
-            for c in range(top - k + 1):
+            found = self.memo[residues, k] = []
+            m, bounds = self.m, self.bounds
+            for c in range(len(bounds) - k):
                 b = bounds[k + c]
-                if any(d > bi for d, bi in zip(residues, b)):
-                    break
-                u_max = min([b[0]] + [b[i + 1] for i, d in enumerate(residues) if d > b[i + 1]])
+                u_max = b[0]
+                for d, bi, b_next in zip(residues, b, b[1:]):
+                    if d > bi:
+                        return found
+                    if d > b_next:
+                        u_max = b_next
                 found.append((c * m + 1, c * m + u_max + 1))
-            memo[residues, k] = found
         return found
 
-    def walk(prefix: TupleZ, residues: TupleZ, k: int) -> Iterator[Iterator[TupleZ]]:
-        if len(prefix) == n - 1:
-            for lo, hi in extensions(residues, k):
-                yield map(prefix.__add__, singles[lo:hi])
+    def walk(self, prefix: TupleZ, residues: TupleZ, k: int) -> Iterator[tuple[TupleZ, list]]:
+        """The blocks under one prefix, with one generator per (n-2)-prefix."""
+        m = self.m
+        if len(prefix) < self.n - 2:
+            for lo, hi in self.extensions(residues, k):
+                c = lo // m
+                for t in range(lo, hi):
+                    child = tuple(sorted(residues + (t - c * m,), reverse=True))
+                    yield from self.walk(prefix + (t,), child, k + c)
             return
-        for lo, hi in extensions(residues, k):
+        # the children are (n-1)-prefixes: yield their blocks
+        blocks, leaves = self.blocks, self.leaves
+        for lo, hi in self.extensions(residues, k):
             c = lo // m
             for t in range(lo, hi):
-                child = tuple(sorted(residues + (t - c * m,), reverse=True))
-                yield from walk(prefix + (t,), child, k + c)
-
-    yield from walk((), (), 0)
+                key = (tuple(sorted(residues + (t - c * m,), reverse=True)), k + c)
+                block = blocks.get(key)
+                if block is None:
+                    block = blocks[key] = [x for a, b in self.extensions(*key) for x in leaves[a:b]]
+                yield prefix + (t,), block
 
 
 def union_count(bounds: Sequence[int]) -> int:

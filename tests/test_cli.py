@@ -1,12 +1,19 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from puregaps import KummerCurve, cli, lambda_star, pure_gaps
+from puregaps import KummerCurve, cli, lambda_star, pure_gap_count, pure_gaps
 from puregaps.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -63,13 +70,47 @@ def lines(tuples, sep):
     return "".join(sep.join(map(str, t)) + "\n" for t in tuples)
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv"])
+def reference(m, r, n, fmt):
+    """The pure-gaps verb's stdout, built one tuple at a time."""
+    tuples = pure_gaps(KummerCurve(m, r), n)
+    if fmt == "json":
+        return json.dumps([list(t) for t in tuples]) + "\n"
+    return lines(tuples, "," if fmt == "csv" else " ")
+
+
+FORMATS = ("text", "csv", "json")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_pure_gaps_output_longer_than_one_chunk(capsys, fmt):
-    sep = "," if fmt == "csv" else " "
     code, out, err = run(capsys, "pure-gaps", "--m", "9", "--r", "13", "--n", "3", "--format", fmt)
     assert (code, err) == (0, "")
-    assert out.count("\n") == 10146 > cli._CHUNK_LINES
-    assert out == lines(pure_gaps(KummerCurve(9, 13), 3), sep)
+    assert pure_gap_count(KummerCurve(9, 13), 3) == 10146 > cli._CHUNK_LINES
+    assert out == reference(9, 13, 3, fmt)
+
+
+# n = 2 has 1-coordinate prefixes; both curves span two chunks
+@pytest.mark.parametrize("m,r,n", [(7, 23, 2), (5, 9, 5)])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_pure_gaps_bytes_at_two_and_five_places(capsys, m, r, n, fmt):
+    argv = ("pure-gaps", "--m", str(m), "--r", str(r), "--n", str(n), "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == reference(m, r, n, fmt)
+
+
+COPRIME = [(m, r) for m in range(2, 14) for r in range(2, 16) if gcd(m, r) == 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(COPRIME), st.integers(2, 5), st.sampled_from(FORMATS))
+def test_pure_gaps_bytes_match_per_tuple_reference(mr, n, fmt):
+    m, r = mr
+    assume(n <= r and pure_gap_count(KummerCurve(m, r), n) <= 20_000)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["pure-gaps", "--m", str(m), "--r", str(r), "--n", str(n), "--format", fmt])
+    assert code == 0 and out.getvalue() == reference(m, r, n, fmt)
 
 
 def test_pure_gaps_empty_stream(capsys):
@@ -77,6 +118,35 @@ def test_pure_gaps_empty_stream(capsys):
     assert run(capsys, *argv, "text") == (0, "", "")
     assert run(capsys, *argv, "csv") == (0, "", "")
     assert run(capsys, *argv, "json") == (0, "[]\n", "")
+
+
+class HashingStdout(io.TextIOBase):
+    """A stdout that keeps only a digest of what it is given."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+
+    def writable(self):
+        return True
+
+    def write(self, s):
+        self.sha.update(s.encode())
+        return len(s)
+
+
+def test_pure_gaps_json_memory_is_bounded(monkeypatch):
+    # 23 505 elements, 0.3 MB of JSON; as a list of lists they take about 5 MiB
+    want = hashlib.sha256(reference(7, 23, 3, "json").encode()).hexdigest()
+    sink = HashingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["pure-gaps", "--m", "7", "--r", "23", "--n", "3", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.sha.hexdigest() == want
+    assert peak < 1 << 20, f"traced peak {peak} B"
 
 
 def test_maximals_csv(capsys):
@@ -276,6 +346,6 @@ def test_interrupt_exits_130_quietly(capsys, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli.gapsets, "pure_gaps", interrupted)
+    monkeypatch.setattr(cli.gapsets, "pure_gap_blocks", interrupted)
     code, out, err = run(capsys, "pure-gaps", "--m", "3", "--r", "4", "--n", "2")
     assert (code, out, err) == (130, "", "")

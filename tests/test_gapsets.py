@@ -22,7 +22,7 @@ from puregaps import (
     pure_gaps,
     union_count,
 )
-from puregaps.gapsets import _sigma_union
+from puregaps.gapsets import _level_bounds, _sigma_union, pure_gap_blocks
 from puregaps.reference import permutation_closed, union_count_bruteforce
 
 C34 = KummerCurve(3, 4)
@@ -93,6 +93,10 @@ def test_pure_gaps_empty_for_tiny_curve():
 
 def test_pure_gaps_rejects_bad_n():
     with pytest.raises(NOutOfRangeError):
+        pure_gaps(C59, 1)  # on the call, before the first tuple
+    with pytest.raises(NOutOfRangeError):
+        pure_gap_blocks(C59, 10, str)
+    with pytest.raises(NOutOfRangeError):
         list(pure_gaps(C59, 1))
     with pytest.raises(NOutOfRangeError):
         pure_gap_count(C59, 10)
@@ -128,6 +132,21 @@ def assert_stream_is_cell_union(curve, n):
     assert got == cell_union(curve, n)
     assert all(a < b for a, b in zip(got, got[1:]))
     assert len(got) == pure_gap_count(curve, n)
+
+
+@pytest.mark.parametrize("m,r,n", [(5, 9, 3), (7, 12, 4), (4, 11, 2), (3, 16, 5), (3, 2, 2)])
+def test_pure_gap_blocks_are_shared_by_sorted_residues_and_level(m, r, n):
+    curve = KummerCurve(m, r)
+    assert _level_bounds(curve, n) == [b_k(curve, n, k).bounds for k in range(max_level(curve, n) + 1)]
+    seen = {}
+    tuples = []
+    for prefix, block in pure_gap_blocks(curve, n, lambda t: (t,)):
+        assert len(prefix) == n - 1 and block
+        cs, us = zip(*(divmod(t - 1, m) for t in prefix))
+        key = (tuple(sorted(us)), sum(cs))
+        assert seen.setdefault(key, block) is block
+        tuples.extend(prefix + leaf for leaf in block)
+    assert tuples == list(pure_gaps(curve, n)) == cell_union(curve, n)
 
 
 # the curves of the benchmark's stream workload, 1e4 to 4e4 pure gaps each
