@@ -175,5 +175,6 @@ def pure_gaps_from_relative_maximals(
             walk(prefix + (v,), above, kept + [carriers[v]])
 
     walk((), elems, [])
+    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
     return out
 

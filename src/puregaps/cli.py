@@ -189,7 +189,7 @@ def cmd_verify(args) -> int:
     enumerated = clip(gapsets.pure_gaps(curve, n))
     oracle = pure_gap_box_scan(curve, places, box_max=box)
     routes = {"enumeration": enumerated, "oracle": oracle}
-    if 2 <= n <= curve.r - curve.r // curve.m:
+    if maximals._in_window(curve, n):
         routes["glb"] = clip(
             pure_gaps_from_relative_maximals(maximals.lambda_star(curve, n), n)
         )
@@ -217,27 +217,22 @@ def cmd_codes_table(args) -> int:
         raise ValueError("--t applies only to the norm-trace-like family")
     if args.family == "norm-trace-like" and args.t is None:
         raise ValueError("the norm-trace-like family needs --t")
-    curve, _ = codes_mod.family_curve_points(args.family, args.q, args.m, args.t)
+    curve, points = codes_mod.family_curve_points(args.family, args.q, args.m, args.t)
 
-    ns = [args.n] if args.n is not None else list(range(2, curve.r - curve.r // curve.m))
+    with_gaps = [n for n in range(2, curve.r + 1) if gapsets.max_level(curve, n) >= 0]
+    ns = [args.n] if args.n is not None else with_gaps
     sweeping = args.n is None or args.k is None
     rows = []
     for n in ns:
         top = gapsets.max_level(curve, n)
-        ks = [args.k] if args.k is not None else list(range(top + 1))
-        for k in ks:
+        for k in [args.k] if args.k is not None else range(top + 1):
             if k > top:
                 raise ValueError(f"level k={k} has no pure gaps for n={n} on this curve")
-            # every bound is >= 1 up to the top level, so the box sums fill an interval
-            bounds = gapsets.b_k(curve, n, k).bounds
-            for a_sum in range(n, sum(bounds) + 1):
-                spec = codes_mod.TableRowSpec(args.family, args.q, args.m, n, k, (a_sum,), t=args.t)
-                try:
-                    rows.extend(codes_mod.generate_tables([spec]))
-                except DegreeWindowError:
-                    if not sweeping:
-                        raise
-                    # unprofitable cell; sweeps skip it rather than abort
+            # every box sum from n up occurs; sweeps skip the unprofitable ones rather than abort
+            box = gapsets.b_k(curve, n, k)
+            a_values = tuple(range(n, sum(box.bounds) + 1))
+            spec = codes_mod.TableRowSpec(args.family, args.q, args.m, n, k, a_values, t=args.t)
+            rows += codes_mod._cell_rows(spec, curve, points, box, sweep=sweeping)
 
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .curves import KummerCurve
 from .errors import DegreeWindowError
-from .gapsets import b_k
+from .gapsets import BkBox, _box_bounds, b_k
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,11 @@ def design_code(spec: CodeSpec) -> CodeParams:
     """Parameters of the differential code built on the spec's pure-gap cell."""
     curve, n, k = spec.curve, spec.n, spec.k
     m, r, g = curve.m, curve.r, curve.genus
-    ceils = [-(-(m * (k + j)) // r) for j in range(1, n + 1)]
-    degree = sum(
-        2 * kj * m + aj + m - 1 - cj for kj, aj, cj in zip(spec.partition, spec.a, ceils)
-    )
+    bounds = _box_bounds(curve, k, n)  # ceil(m*(k+j)/r) = m - b_j
+    degree = sum(2 * kj * m + aj - 1 + bj for kj, aj, bj in zip(spec.partition, spec.a, bounds))
     _check_window(degree, g, spec.length)
-    dimension = spec.length + n - 2 * k * m - n * m - 1 + g - sum(spec.a) + sum(ceils)
-    distance = 2 * k * m + 2 * n * m - m * r + m + r + 1 - 2 * sum(ceils)
+    dimension = spec.length + n - 2 * k * m - 1 + g - sum(spec.a) - sum(bounds)
+    distance = 2 * k * m - m * r + m + r + 1 + 2 * sum(bounds)
     return _params(spec.length, dimension, distance, degree)
 
 
@@ -186,16 +184,16 @@ NORM_TRACE_LIKE_ROWS = (
 )
 
 
-def _offsets_with_sum(curve: KummerCurve, n: int, k: int, target: int) -> tuple[int, ...]:
+def _offsets_with_sum(box: BkBox, target: int) -> tuple[int, ...]:
     """The lexicographically first vector of prod_j [1, b_j] with coordinate sum target.
 
     Each a_i is as small as the later coordinates allow when filled up to
     their bounds: a_i = max(1, target - (a_1 + ... + a_{i-1}) - sum_{j>i} b_j).
+    A nonempty level has every bound >= 1, so every sum from n to sum(b) occurs.
     """
-    box = b_k(curve, n, k)
     bounds = box.bounds
-    if box.empty or any(b < 1 for b in bounds) or not n <= target <= sum(bounds):
-        raise ValueError(f"no offset vector in the level-{k} box sums to {target}")
+    if box.empty or not len(bounds) <= target <= sum(bounds):
+        raise ValueError(f"no offset vector in the level-{box.level} box sums to {target}")
     out = []
     rest = sum(bounds)
     for b in bounds:
@@ -205,30 +203,38 @@ def _offsets_with_sum(curve: KummerCurve, n: int, k: int, target: int) -> tuple[
     return tuple(out)
 
 
+def _cell_rows(
+    spec: TableRowSpec, curve: KummerCurve, points: int, box: BkBox, sweep: bool = False
+) -> list[dict]:
+    """The rows of one cell: spec.n places at level spec.k, box = b_k(curve, spec.n, spec.k).
+
+    One row per offset sum in spec.a_values.  A sweep skips the sums whose
+    degree leaves the code window instead of raising DegreeWindowError.
+    """
+    length = points - spec.n
+    partition = (spec.k,) + (0,) * (spec.n - 1)
+    rows = []
+    for a_sum in spec.a_values:
+        a = _offsets_with_sum(box, a_sum)
+        try:
+            params = design_code(CodeSpec(curve, spec.n, spec.k, partition, a, length))
+        except DegreeWindowError:
+            if sweep:
+                continue
+            raise
+        rows.append(dict(
+            family=spec.family, q=spec.q, t=spec.t, m=spec.m, n=spec.n, k=spec.k, a=a_sum,
+            N=params.length, kdim=params.dimension, dlb=params.distance_lb, degG=params.degree,
+            ratesum=str(params.rate_sum),
+        ))
+    return rows
+
+
 def generate_tables(row_specs: Iterable[TableRowSpec]) -> list[dict]:
     """Expand row specs into concrete parameter rows, one per offset sum."""
     rows = []
     for spec in row_specs:
         curve, points = family_curve_points(spec.family, spec.q, spec.m, spec.t)
-        length = points - spec.n
-        partition = (spec.k,) + (0,) * (spec.n - 1)
-        for a_sum in spec.a_values:
-            a = _offsets_with_sum(curve, spec.n, spec.k, a_sum)
-            params = design_code(CodeSpec(curve, spec.n, spec.k, partition, a, length))
-            rows.append(
-                {
-                    "family": spec.family,
-                    "q": spec.q,
-                    "t": spec.t,
-                    "m": spec.m,
-                    "n": spec.n,
-                    "k": spec.k,
-                    "a": a_sum,
-                    "N": params.length,
-                    "kdim": params.dimension,
-                    "dlb": params.distance_lb,
-                    "degG": params.degree,
-                    "ratesum": str(params.rate_sum),
-                }
-            )
+        if spec.a_values:
+            rows += _cell_rows(spec, curve, points, b_k(curve, spec.n, spec.k))
     return rows

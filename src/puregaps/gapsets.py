@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Sequence
 from .boxes import TupleZ, compositions
 from .curves import KummerCurve
 from .errors import NOutOfRangeError
-from .maximals import lambda_star
+from .maximals import _in_window, _require_places, lambda_star
 
 
 @dataclass(frozen=True)
@@ -70,16 +70,9 @@ class BkBox:
 
     def tuples(self) -> Iterator[TupleZ]:
         """Lex-ordered contents: products of [1, a_j]."""
-        if self.empty or any(b < 1 for b in self.bounds):
+        if self.empty:
             return iter(())
         return product(*(range(1, b + 1) for b in self.bounds))
-
-
-def _require_places(curve: KummerCurve, n: int) -> None:
-    if not 2 <= n <= curve.r:
-        raise NOutOfRangeError(
-            f"need 2 <= n <= r = {curve.r} branch places, got n={n}"
-        )
 
 
 def max_level(curve: KummerCurve, n: int) -> int:
@@ -92,9 +85,13 @@ def b_k(curve: KummerCurve, n: int, k: int) -> BkBox:
     _require_places(curve, n)
     if k < 0:
         raise ValueError(f"level must be nonnegative, got {k}")
+    return BkBox(level=k, bounds=tuple(_box_bounds(curve, k, n)), empty=k > max_level(curve, n))
+
+
+def _box_bounds(curve: KummerCurve, k: int, count: int) -> list[int]:
+    """m - ceil(m*(k+j)/r) for j = 1..count: bound j of level k, and bound j - i of level k + i."""
     m, r = curve.m, curve.r
-    bounds = tuple(m - -(-(m * (k + j)) // r) for j in range(1, n + 1))
-    return BkBox(level=k, bounds=bounds, empty=k > max_level(curve, n))
+    return [m - -(-(m * (k + j)) // r) for j in range(1, count + 1)]
 
 
 def _sigma_union(box: BkBox) -> list[TupleZ]:
@@ -135,11 +132,10 @@ def pure_gap_blocks(
 
 
 def _level_bounds(curve: KummerCurve, n: int) -> list[TupleZ]:
-    """The bounds of b_k for k = 0..max_level in one pass: bound j of level k is cap[k + j]."""
-    m, r = curve.m, curve.r
+    """The bounds of b_k for k = 0..max_level in one pass: bound j of level k is cap[k + j - 1]."""
     levels = max_level(curve, n) + 1
-    cap = [m - -(-(m * s) // r) for s in range(levels + n)]
-    return [tuple(cap[k + 1 : k + n + 1]) for k in range(levels)]
+    cap = _box_bounds(curve, 0, levels + n - 1)
+    return [tuple(cap[k : k + n]) for k in range(levels)]
 
 
 class _BlockWalk:
@@ -228,10 +224,8 @@ def union_count(bounds: Sequence[int]) -> int:
 def pure_gap_count(curve: KummerCurve, n: int) -> int:
     """Exact number of pure gaps at n places, by the level-sum closed form."""
     _require_places(curve, n)
-    total = 0
-    for k in range(max_level(curve, n) + 1):
-        total += comb(k + n - 1, n - 1) * union_count(b_k(curve, n, k).bounds)
-    return total
+    levels = enumerate(_level_bounds(curve, n))
+    return sum(comb(k + n - 1, n - 1) * union_count(bounds) for k, bounds in levels)
 
 
 def pure_gap_count_two_places(curve: KummerCurve) -> int:
@@ -303,13 +297,11 @@ def plot_data(curve: KummerCurve, n: int = 3) -> CubeData:
     if n != 3:
         raise NOutOfRangeError(f"plot data is defined for n = 3 places, got n={n}")
     _require_places(curve, n)
-    m, r = curve.m, curve.r
+    m = curve.m
     cubes = []
-    for k in range(max_level(curve, n) + 1):
-        count = union_count(b_k(curve, n, k).bounds)
+    for k, bounds in enumerate(_level_bounds(curve, n)):
+        count = union_count(bounds)
         for comp in compositions(k, n):
             cubes.append(Cube(tuple(c * m for c in comp), m, count, k))
-    maximals: tuple[TupleZ, ...] = ()
-    if n <= r - r // m:
-        maximals = tuple(lambda_star(curve, n))
+    maximals = tuple(lambda_star(curve, n)) if _in_window(curve, n) else ()
     return CubeData(tuple(sorted(cubes, key=lambda c: (c.level, c.origin))), maximals)

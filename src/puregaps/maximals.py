@@ -51,11 +51,32 @@ def h_one_place(curve: KummerCurve, at_infinity: bool = False) -> OnePlaceGaps:
     return OnePlaceGaps(gaps, at_infinity)
 
 
-def _require_window(curve: KummerCurve, n: int, upper: int, what: str) -> None:
-    if not 2 <= n <= upper:
+def _require_places(curve: KummerCurve, n: int) -> None:
+    if not 2 <= n <= curve.r:
+        raise NOutOfRangeError(f"need 2 <= n <= r = {curve.r} branch places, got n={n}")
+
+
+def _in_window(curve: KummerCurve, n: int) -> bool:
+    """Whether 2 <= n <= r - floor(r/m): the place counts the fundamental window describes."""
+    return 2 <= n <= curve.r - curve.r // curve.m
+
+
+def _require_window(curve: KummerCurve, n: int, what: str) -> None:
+    if not _in_window(curve, n):
+        upper = curve.r - curve.r // curve.m
         raise NOutOfRangeError(
             f"{what} needs 2 <= n <= {upper} on this curve (m={curve.m}, r={curve.r}), got n={n}"
         )
+
+
+def _hat_box(curve: KummerCurve, n: int, shift: int) -> list[TupleZ]:
+    """(shift, 0, ..., 0), and (k*m + shift + i, i, ..., i) with k = r - n - floor(r*i/m), i < m."""
+    _require_window(curve, n, "the fundamental-window description")
+    m, r = curve.m, curve.r
+    out = [(shift,) + (0,) * (n - 1)]
+    for i in range(1, m):
+        out.append(((r - n - (r * i) // m) * m + shift + i,) + (i,) * (n - 1))
+    return sorted(out)
 
 
 def gamma_hat_box(curve: KummerCurve, n: int) -> list[TupleZ]:
@@ -66,13 +87,7 @@ def gamma_hat_box(curve: KummerCurve, n: int) -> list[TupleZ]:
     and such elements are still part of the window description (they matter
     for the generalized semigroup, not for the positive sets).
     """
-    m, r = curve.m, curve.r
-    _require_window(curve, n, r - r // m, "the fundamental-window description")
-    out = [(0,) * n]
-    for i in range(1, m):
-        k = r - n - (r * i) // m
-        out.append((k * m + i,) + (i,) * (n - 1))
-    return sorted(out)
+    return _hat_box(curve, n, 0)
 
 
 def lambda_hat_box(curve: KummerCurve, n: int) -> list[TupleZ]:
@@ -81,13 +96,17 @@ def lambda_hat_box(curve: KummerCurve, n: int) -> list[TupleZ]:
     The residue-zero element is ((n-2)*m, 0, ..., 0); for i = 1..m-1 it is
     ((k+n-2)*m + i, i, ..., i) with k = r - n - floor(r*i/m).
     """
+    return _hat_box(curve, n, (n - 2) * curve.m)
+
+
+def _star(curve: KummerCurve, n: int, top: int) -> list[TupleZ]:
+    """(k_1*m + i, ..., k_n*m + i) for 1 <= i <= m-1-floor(m/r), sum k_j = top - floor(r*i/m)."""
     m, r = curve.m, curve.r
-    _require_window(curve, n, r - r // m, "the fundamental-window description")
-    out = [((n - 2) * m,) + (0,) * (n - 1)]
-    for i in range(1, m):
-        k = r - n - (r * i) // m
-        out.append(((k + n - 2) * m + i,) + (i,) * (n - 1))
-    return sorted(out)
+    return sorted(
+        tuple(k * m + i for k in comp)
+        for i in range(1, m - m // r)
+        for comp in compositions(top - (r * i) // m, n)
+    )
 
 
 def gamma_star(curve: KummerCurve, n: int) -> list[TupleZ]:
@@ -95,21 +114,10 @@ def gamma_star(curve: KummerCurve, n: int) -> list[TupleZ]:
 
     Tuples (k_1*m + i, ..., k_n*m + i) over residues 1 <= i <= m-1-floor(m/r)
     and compositions k_1 + ... + k_n = r - n - floor(r*i/m).  Empty whenever
-    n exceeds r - floor(r/m).
+    n exceeds r - floor(r/m), since every total is then negative.
     """
-    m, r = curve.m, curve.r
-    if not 2 <= n <= r:
-        raise NOutOfRangeError(f"need 2 <= n <= r = {r} branch places, got n={n}")
-    if n > r - r // m:
-        return []
-    out = []
-    for i in range(1, m - m // r):
-        total = r - n - (r * i) // m
-        if total < 0:
-            continue
-        for comp in compositions(total, n):
-            out.append(tuple(k * m + i for k in comp))
-    return sorted(out)
+    _require_places(curve, n)
+    return _star(curve, n, curve.r - n)
 
 
 def lambda_star(curve: KummerCurve, n: int) -> list[TupleZ]:
@@ -118,14 +126,8 @@ def lambda_star(curve: KummerCurve, n: int) -> list[TupleZ]:
     Same shape as gamma_star but with composition total r - 2 - floor(r*i/m),
     which is nonnegative throughout the residue range.
     """
-    m, r = curve.m, curve.r
-    _require_window(curve, n, r - r // m, "the positive relative maximal set")
-    out = []
-    for i in range(1, m - m // r):
-        total = r - 2 - (r * i) // m
-        for comp in compositions(total, n):
-            out.append(tuple(k * m + i for k in comp))
-    return sorted(out)
+    _require_window(curve, n, "the positive relative maximal set")
+    return _star(curve, n, curve.r - 2)
 
 
 def absolute_family(curve: KummerCurve, n: int) -> MaximalFamily:

@@ -37,7 +37,7 @@ its m-class sweep remain the reference they are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .curves import Divisor, KummerCurve, Place
 from .errors import PeriodSearchError
@@ -67,23 +67,27 @@ def _per_residue(m: int, r: int, coeffs: dict[int, int], a_inf: int) -> list[int
     return out
 
 
-def _dim(m: int, r: int, coeffs: dict[int, int], a_inf: int = 0) -> int:
-    return sum(v for v in _per_residue(m, r, coeffs, a_inf) if v > 0)
-
-
-def _split_divisor(curve: KummerCurve, div: Divisor) -> tuple[dict[int, int], int]:
+def _split_divisor(
+    curve: KummerCurve, terms: Iterable[tuple[Place, int]]
+) -> tuple[dict[int, int], int]:
+    """The branch coefficients by index and the P_inf coefficient of sum c*place; repeats add up."""
     coeffs: dict[int, int] = {}
     a_inf = 0
-    for place, c in div:
+    for place, c in terms:
         if place.is_infinity:
-            a_inf = c
+            a_inf += c
         elif place.index <= curve.r:
-            coeffs[place.index] = c
+            coeffs[place.index] = coeffs.get(place.index, 0) + c
         else:
             raise ValueError(
                 f"divisor supported on {place}, but the curve has only r={curve.r} branch places"
             )
     return coeffs, a_inf
+
+
+def _dim(curve: KummerCurve, terms: Iterable[tuple[Place, int]]) -> int:
+    """ell(sum c*place) over the (place, c) terms."""
+    return sum(v for v in _per_residue(curve.m, curve.r, *_split_divisor(curve, terms)) if v > 0)
 
 
 def ell(curve: KummerCurve, div: Divisor) -> EllResult:
@@ -96,13 +100,12 @@ def ell(curve: KummerCurve, div: Divisor) -> EllResult:
     return EllResult(sum(v for v in per if v > 0), tuple(per))
 
 
-def _place_indices(
-    curve: KummerCurve, alpha: Sequence[int], places: Sequence[Place] | None
-) -> list[int]:
+def _place_indices(curve: KummerCurve, places: Sequence[Place] | None, n: int) -> list[int]:
+    """The indices of n pairwise distinct branch places; None means P_1..P_n."""
     if places is None:
-        places = curve.ramified_places(len(alpha))
-    if len(places) != len(alpha):
-        raise ValueError(f"{len(alpha)}-tuple given with {len(places)} places")
+        places = curve.ramified_places(n)
+    if len(places) != n:
+        raise ValueError(f"{n}-tuple given with {len(places)} places")
     if len(set(places)) != len(places):
         raise ValueError("places must be pairwise distinct")
     for p in places:
@@ -179,7 +182,7 @@ def _relative(dims: dict[int, list[int]], n: int) -> bool:
 
 
 def _holds(test, curve: KummerCurve, alpha: Sequence[int], places: Sequence[Place] | None) -> bool:
-    _place_indices(curve, alpha, places)
+    _place_indices(curve, places, len(alpha))
     return test(_class_dims(curve.m, _class_base(curve), alpha), len(alpha))
 
 
@@ -233,14 +236,11 @@ def is_discrepancy(curve: KummerCurve, div: Divisor, p1: Place, p2: Place) -> bo
     """
     if p1 == p2:
         raise ValueError("discrepancy needs two distinct places")
-    for p in (p1, p2):
-        if not p.is_infinity and p.index > curve.r:
-            raise ValueError(f"{p} is not a place of the curve (r={curve.r})")
-    one = Divisor({p1: 1})
-    two = Divisor({p2: 1})
-    if ell(curve, div).dim == ell(curve, div - two).dim:
+    terms = div.items()
+    both = _dim(curve, terms + [(p1, -1), (p2, -1)])  # checks p1 and p2, even where div cancels them
+    if _dim(curve, terms) == _dim(curve, terms + [(p2, -1)]):
         return False
-    return ell(curve, div - one).dim == ell(curve, div - one - two).dim
+    return _dim(curve, terms + [(p1, -1)]) == both
 
 
 def verify_period(
@@ -255,14 +255,12 @@ def verify_period(
     """
     if p_i == p_j:
         raise ValueError("period needs two distinct places")
-    for p in (p_i, p_j):
-        if p.is_infinity or p.index > curve.r:
-            raise ValueError(f"{p} is not a branch place of the curve (r={curve.r})")
+    i, j = _place_indices(curve, (p_i, p_j), 2)
     if bound is None:
         bound = 2 * curve.genus + curve.m
     m, r = curve.m, curve.r
     for k in range(1, bound + 1):
-        if _dim(m, r, {p_i.index: k, p_j.index: -k}) == 1:
+        if sum(v for v in _per_residue(m, r, {i: k, j: -k}, 0) if v > 0) == 1:
             return k
     raise PeriodSearchError(
         f"no k <= {bound} makes k*({p_i} - {p_j}) principal; curve data is inconsistent"
@@ -284,7 +282,7 @@ def _scan_places(curve: KummerCurve, places: Sequence[Place] | int) -> int:
         places = curve.ramified_places(places)
     if not places:
         raise ValueError("a scan needs at least one place")
-    return len(_place_indices(curve, [0] * len(places), places))
+    return len(_place_indices(curve, places, len(places)))
 
 
 def _scan(
@@ -324,6 +322,7 @@ def _scan(
                 out.append(alpha)
 
     walk((), _class_base(curve), 0)
+    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
     return out
 
 

@@ -13,8 +13,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from puregaps import KummerCurve, cli, lambda_star, pure_gap_count, pure_gaps
+from puregaps import (
+    DegreeWindowError,
+    KummerCurve,
+    TableRowSpec,
+    b_k,
+    cli,
+    generate_tables,
+    lambda_star,
+    max_level,
+    pure_gap_count,
+    pure_gaps,
+)
 from puregaps.cli import main
+from puregaps.codes import family_curve_points
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -263,6 +275,33 @@ def test_codes_table_norm_trace_json(capsys):
         (510, 457, 30),
         (510, 456, 30),
     ]
+
+
+def single_sum_rows(family, q, m, t):
+    """A codes table sweep built one offset sum at a time, each through generate_tables."""
+    curve, _ = family_curve_points(family, q, m, t)
+    rows, skipped = [], 0
+    for n in range(2, curve.r - curve.r // curve.m):
+        for k in range(max_level(curve, n) + 1):
+            for a_sum in range(n, sum(b_k(curve, n, k).bounds) + 1):
+                try:
+                    rows += generate_tables([TableRowSpec(family, q, m, n, k, (a_sum,), t)])
+                except DegreeWindowError:
+                    skipped += 1
+    return rows, skipped
+
+
+@pytest.mark.parametrize(
+    "family, q, m, t", [("norm-trace-like", 2, 9, 6), ("hermitian-subcover", 8, 3, None)]
+)
+def test_codes_table_full_sweep_matches_single_sum_rows(capsys, family, q, m, t):
+    rows, skipped = single_sum_rows(family, q, m, t)
+    assert rows and skipped  # the sweep skips some sums and keeps others
+    flags = ["codes", "table", "--family", family, "--q", str(q), "--m", str(m)]
+    flags += [] if t is None else ["--t", str(t)]
+    assert run(capsys, *flags, "--format", "json") == (0, json.dumps(rows, sort_keys=True) + "\n", "")
+    csv = "".join(f"{r['N']},{r['kdim']},{r['dlb']},{r['degG']},{r['ratesum']}\n" for r in rows)
+    assert run(capsys, *flags) == (0, "N,kdim,dlb,degG,ratesum\n" + csv, "")
 
 
 def test_codes_table_requires_t(capsys):

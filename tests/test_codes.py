@@ -226,14 +226,14 @@ def test_offsets_with_sum_is_the_first_box_vector_with_that_sum():
         curve, _ = family_curve_points(spec.family, spec.q, spec.m, spec.t)
         for n in range(2, min(curve.r, 5) + 1):
             for k in range(max_level(curve, n) + 2):  # one level past the last is empty
-                bounds = b_k(curve, n, k).bounds
-                for target in range(n - 1, max(sum(bounds), n) + 2):
+                box = b_k(curve, n, k)
+                for target in range(n - 1, max(sum(box.bounds), n) + 2):
                     want = scanned(curve, n, k, target)
                     if want is None:
                         with pytest.raises(ValueError):
-                            _offsets_with_sum(curve, n, k, target)
+                            _offsets_with_sum(box, target)
                     else:
-                        assert _offsets_with_sum(curve, n, k, target) == want
+                        assert _offsets_with_sum(box, target) == want
 
 
 def test_generate_tables_empty():

@@ -46,14 +46,18 @@ def test_b_k_empty_marker():
 
 
 def test_b_k_bounds_non_increasing(corpus):
-    for curve in corpus[::4]:
-        for n in (2, 3):
-            if n > curve.r:
-                continue
-            for k in range(max_level(curve, n) + 1):
+    # every level up to max_level has bounds >= 1, every later one is empty
+    for curve in corpus:
+        for n in range(2, curve.r + 1):
+            top = max_level(curve, n)
+            for k in range(top + 1):
                 bounds = b_k(curve, n, k).bounds
                 assert all(bounds[i] >= bounds[i + 1] for i in range(n - 1))
                 assert bounds[-1] >= 1
+            for k in range(max(top + 1, 0), top + 4):
+                box = b_k(curve, n, k)
+                assert box.empty and box.size == 0 and list(box.tuples()) == []
+            assert _level_bounds(curve, n) == [b_k(curve, n, k).bounds for k in range(top + 1)]
 
 
 def test_b_k_validation():

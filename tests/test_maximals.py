@@ -1,4 +1,5 @@
-from math import comb
+import json
+from math import comb, gcd
 
 import pytest
 
@@ -17,6 +18,7 @@ from puregaps import (
     relative_family,
     translate_box,
 )
+from puregaps.cli import main
 
 C34 = KummerCurve(3, 4)
 C59 = KummerCurve(5, 9)
@@ -151,3 +153,36 @@ def test_star_sets_equal_family_expansion(corpus, kind):
                 for comp in compositions(k, n):
                     regenerated.extend(translate_box(fam, comp))
             assert sorted(regenerated) == star
+
+
+def test_window_boundary_sweep(capsys):
+    # every route that reads the window 2 <= n <= r - floor(r/m) agrees on its edges
+    for m in range(2, 14):
+        for r in range(2, 14):
+            if gcd(m, r) != 1:
+                continue
+            curve = KummerCurve(m, r)
+            top = r - r // m
+            # lambda_star and the verify routes grow to 646 646 elements at (m, r) = (12, 13),
+            # so they run on the window's upper edge of the smaller curves only
+            edges = {top, top + 1} if curve.genus <= 12 else set()
+            for n in range(1, r + 2):
+                inside = 2 <= n <= top
+                if 2 <= n <= r:
+                    assert (gamma_star(curve, n) == []) == (not inside), (m, r, n)
+                else:
+                    with pytest.raises(NOutOfRangeError):
+                        gamma_star(curve, n)
+                for fn in (gamma_hat_box, lambda_hat_box, lambda_star):
+                    if not inside:
+                        with pytest.raises(NOutOfRangeError):
+                            fn(curve, n)
+                    elif fn is not lambda_star or n in edges:
+                        assert fn(curve, n)
+                if n in edges:
+                    argv = ["verify", "--m", str(m), "--r", str(r), "--n", str(n)]
+                    code = main(argv + ["--max-box", "1", "--format", "json"])
+                    out = capsys.readouterr().out
+                    routes = json.loads(out)["routes"] if n <= r else {}
+                    assert code == (0 if n <= r else 2), (m, r, n)
+                    assert ("glb" in routes) == inside, (m, r, n)

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import product
 from math import gcd
@@ -19,6 +20,8 @@ from puregaps import (
     is_discrepancy,
     is_pure_gap,
     is_relative_maximal,
+    lambda_star,
+    pure_gaps_from_relative_maximals,
     verify_period,
 )
 from puregaps.riemann_roch import (
@@ -412,6 +415,25 @@ def test_scans_match_full_box_scan_random(mr, data):
     lo = data.draw(st.integers(-(n - 1) * (m - 1), 2 * g))
     hi = data.draw(st.integers(lo - 1, lo + max(0, edge // m ** (n - 1))))
     check_window_scans(curve, places, lo, hi)
+
+
+def test_walks_leave_no_cyclic_garbage():
+    # the scans and the glb route walk with closures that call themselves;
+    # each call must free its walk without the cyclic collector
+    walks = [
+        lambda: pure_gap_box_scan(C59, 3),
+        lambda: absolute_maximals_window_scan(C59, 3),
+        lambda: relative_maximals_window_scan(C59, 3),
+        lambda: pure_gaps_from_relative_maximals(lambda_star(C59, 3), 3),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for walk in walks:
+            assert walk()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- discrepancies and periods ---------------------------------------------
