@@ -11,6 +11,7 @@ Ctrl-C.  The last two print no traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -269,6 +270,7 @@ def _add_places_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # built once per process; argparse reads the terminal width only when it prints
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="puregaps",
@@ -336,9 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv: Sequence[str] | None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints usage itself
         return int(exc.code or 0)
     try:

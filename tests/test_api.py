@@ -1,6 +1,8 @@
 """The public surface: what ``puregaps`` exports, and the names the benchmark reads."""
 
+import argparse
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -80,10 +82,14 @@ BENCHMARK_NAMES = {
         "absolute_maximals_window_scan",
         "relative_maximals_window_scan",
         "_per_residue",
+        "is_absolute_maximal",
+        "is_relative_maximal",
+        "in_generalized_semigroup",
     ],
     "boxes": ["family_cardinality"],
     "maximals": [
         "gamma_hat_box", "lambda_hat_box", "h_one_place", "absolute_family", "relative_family",
+        "gamma_star", "lambda_star",
     ],
     "gapsets": [
         "pure_gaps",
@@ -95,6 +101,7 @@ BENCHMARK_NAMES = {
         "union_count",
     ],
     "codes": ["generate_tables", "HERMITIAN_SUBCOVER_ROWS", "NORM_TRACE_LIKE_ROWS"],
+    "cli": ["main", "build_parser"],
 }
 
 
@@ -118,3 +125,6 @@ def test_public_surface():
             assert hasattr(module, name), f"puregaps.{module_name}.{name}"
     # the tracer counts union_count through a global defined in its own module
     assert puregaps.gapsets.union_count.__module__ == "puregaps.gapsets"
+    # setup_s times a fresh import plus build_parser() with no arguments
+    assert not inspect.signature(puregaps.cli.build_parser).parameters
+    assert isinstance(puregaps.cli.build_parser(), argparse.ArgumentParser)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -388,3 +389,79 @@ def test_interrupt_exits_130_quietly(capsys, monkeypatch):
     monkeypatch.setattr(cli.gapsets, "pure_gap_blocks", interrupted)
     code, out, err = run(capsys, "pure-gaps", "--m", "3", "--r", "4", "--n", "2")
     assert (code, out, err) == (130, "", "")
+
+
+# one successful call of every verb
+VERB_CALLS = [
+    ["info", "--m", "3", "--r", "4"],
+    ["gaps", "--m", "3", "--r", "4", "--format", "json"],
+    ["pure-gaps", "--m", "5", "--r", "9", "--n", "3", "--format", "json"],
+    ["maximals", "--m", "3", "--r", "4", "--kind", "relative", "--box"],
+    ["verify", "--m", "3", "--r", "4", "--n", "2"],
+    ["codes", "table", "--family", "norm-trace-like", "--q", "2", "--m", "9", "--t", "6"],
+    ["plot-data", "--m", "5", "--r", "9"],
+]
+
+
+@pytest.mark.parametrize("argv", VERB_CALLS, ids=lambda argv: argv[0])
+def test_verb_call_leaves_no_cyclic_garbage(capsys, argv):
+    assert main(argv) == 0  # warm-up: builds the parser and any lazy caches
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_output_does_not_depend_on_the_width_at_parser_build(capsys, monkeypatch):
+    calls = [["--help"], ["pure-gaps", "--help"], ["codes", "table", "--help"], ["codes"],
+             ["maximals", "--m", "3", "--r", "4"]]
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run(capsys, "--help")  # the parser is built at width 200
+    monkeypatch.setenv("COLUMNS", "40")
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()  # a parser built at width 40
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert reused[0] != wide  # the width in force when printing does count
+
+
+PARSER_COUNT = """
+import argparse, contextlib, io, json
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import puregaps.cli as cli
+at_import = built
+calls = json.loads(input())
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in calls]
+tree = cli.build_parser()
+verbs = sorted(next(a for a in tree._actions if isinstance(a, argparse._SubParsersAction)).choices)
+print(json.dumps([at_import, built, codes, verbs]))
+"""
+
+
+def test_one_parser_per_process():
+    calls = [VERB_CALLS[0], *VERB_CALLS, ["--help"], ["info"], ["codes", "table", "--help"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_COUNT], input=json.dumps(calls),
+        capture_output=True, text=True, env=cli_env(), timeout=60, check=True,
+    )
+    at_import, built, codes, verbs = json.loads(proc.stdout)
+    assert at_import == 0  # importing the CLI builds nothing
+    # the first call builds the top level, the 7 verbs and codes table; the next ten build none
+    assert built == 9
+    assert codes == [0] * 9 + [2, 0]
+    assert verbs == ["codes", "gaps", "info", "maximals", "plot-data", "pure-gaps", "verify"]

@@ -4,8 +4,8 @@ Every call's exit code, stdout and stderr are hashed together and compared
 with tests/data/cli_transcript.sha256, one line per call, so a refactor that
 changes one byte of any verb's output, message or exit code fails here.  The
 calls cover every verb and format, --places, verify boxes, codes table sweeps
-of both families and the error paths.  After an intended output change,
-re-record the digests with
+of both families, the error paths and every --help page.  After an intended
+output change, re-record the digests with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 
@@ -131,6 +131,8 @@ def transcript(curves=CURVES) -> list[list[str]]:
         ["plot-data", "--m", "5", "--r", "9", "--n", "4"],
         ["plot-data", "--m", "5", "--r", "9", "--format", "csv"],
     ]
+    verbs = ("info", "gaps", "pure-gaps", "maximals", "verify", "codes", "plot-data")
+    out += [["--help"], *([verb, "--help"] for verb in verbs), ["codes", "table", "--help"]]
     return out
 
 
