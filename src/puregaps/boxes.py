@@ -136,7 +136,7 @@ def family_cardinality(family: MaximalFamily, genus: int) -> int:
 
 
 def pure_gaps_from_relative_maximals(
-    relative_maximals: Iterable[Sequence[int]], n: int
+    relative_maximals: Iterable[Sequence[int]], n: int, box_max: int | None = None
 ) -> list[TupleZ]:
     """Pure gaps as greatest lower bounds of n-tuples of relative maximal elements.
 
@@ -149,27 +149,37 @@ def pure_gaps_from_relative_maximals(
     d on the other coordinates.  So d is walked depth first, each value d_j
     taken from the elements still above the prefix, and each fixed coordinate
     keeps its surviving witnesses; raising d_j only thins those lists, so the
-    value loop stops at the first empty one.  Each glb comes out once, in
-    lexicographic order.
+    value loop stops at the first empty one.  The last coordinate needs no
+    lists: a value qualifies iff it carries an element and lies below every
+    witness list's maximum on that axis.  With box_max, each axis stops at its
+    first value past it, so only the glbs inside (-inf, box_max]^n are walked.
+    Each glb comes out once, in lexicographic order.
     """
+    if n < 1:
+        raise ValueError("glbs need at least one coordinate")
     elems = sorted({tuple(e) for e in relative_maximals})
     for e in elems:
         if len(e) != n:
             raise ValueError(f"element {e} does not have dimension {n}")
+    if box_max is None:
+        box_max = max(map(max, elems), default=0)  # no glb coordinate lies above it
     out: list[TupleZ] = []
 
     def walk(prefix: TupleZ, pool: list[TupleZ], witnesses: list[list[TupleZ]]) -> None:
         # pool: the elements above prefix on every fixed coordinate
         j = len(prefix)
-        if j == n:
-            out.append(prefix)
+        if j == n - 1:
+            stop = min([box_max + 1] + [max(b[j] for b in w) for w in witnesses])
+            out.extend(prefix + (v,) for v in sorted({b[j] for b in pool}) if v < stop)
             return
         carriers: dict[int, list[TupleZ]] = {}
         for b in pool:
             carriers.setdefault(b[j], []).append(b)
         for v in sorted(carriers):
+            if v > box_max:
+                break
             kept = [[b for b in w if b[j] > v] for w in witnesses]
-            above = [b for b in pool if b[j] > v] if j + 1 < n else pool
+            above = [b for b in pool if b[j] > v]
             if not (above and all(kept)):
                 break
             walk(prefix + (v,), above, kept + [carriers[v]])
@@ -177,4 +187,3 @@ def pure_gaps_from_relative_maximals(
     walk((), elems, [])
     del walk  # a closure that calls itself is a cycle; unbinding frees it at once
     return out
-

@@ -182,18 +182,15 @@ def cmd_verify(args) -> int:
     places = tuple(curve.place(j) for j in idx)
     box = args.max_box if args.max_box is not None else 2 * curve.genus
 
-    def clip(tuples):
-        # both routes are in lexicographic order, so the first tuple past the
-        # box on the first axis ends the window
-        return [t for t in takewhile(lambda t: t[0] <= box, tuples) if max(t) <= box]
-
-    enumerated = clip(gapsets.pure_gaps(curve, n))
+    # the stream is in lexicographic order, so the first tuple past the box
+    # on the first axis ends the window
+    enumerated = [
+        t for t in takewhile(lambda t: t[0] <= box, gapsets.pure_gaps(curve, n)) if max(t) <= box
+    ]
     oracle = pure_gap_box_scan(curve, places, box_max=box)
     routes = {"enumeration": enumerated, "oracle": oracle}
     if maximals._in_window(curve, n):
-        routes["glb"] = clip(
-            pure_gaps_from_relative_maximals(maximals.lambda_star(curve, n), n)
-        )
+        routes["glb"] = pure_gaps_from_relative_maximals(maximals.lambda_star(curve, n), n, box)
     agreed = all(route == enumerated for route in routes.values())
     if args.format == "json":
         payload = {

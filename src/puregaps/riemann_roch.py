@@ -271,8 +271,9 @@ def verify_period(
 # Oracle sweeps.  These walk boxes with the one-residue tests of the
 # predicates only, so they are independent of every closed form they are used
 # to check.  The walk is depth first with ascending values, so its output is in
-# lexicographic order; the pure-gap sweep also caps the coordinate sum at
-# 2g - 1, a Riemann-Roch bound that needs no closed form.
+# lexicographic order.  The pure-gap sweep also caps the coordinate sum at
+# 2g - 1, a Riemann-Roch bound that needs no closed form, and prunes on the
+# class table, which needs none either.
 # ---------------------------------------------------------------------------
 
 
@@ -286,7 +287,11 @@ def _scan_places(curve: KummerCurve, places: Sequence[Place] | int) -> int:
 
 
 def _scan(
-    curve: KummerCurve, test, ranges: Sequence[range], cap: int | None = None
+    curve: KummerCurve,
+    test,
+    ranges: Sequence[range],
+    cap: int | None = None,
+    prune: bool = False,
 ) -> list[tuple[int, ...]]:
     """The tuples of ranges[0] x ... x ranges[-1] with sum at most cap that pass test, in lex order.
 
@@ -294,6 +299,15 @@ def _scan(
     L[s] = base[s] + sum_{j<d} (a_j + s)//m, and l_s(alpha) is L[s] plus the
     last term, so a leaf builds the [l_s, c_s] table of _class_dims in O(n)
     instead of O(n^2).
+
+    prune is for a test that passes only tuples with l_{s_i} <= 0 for every
+    coordinate's class s_i, as the pure-gap test does.  Each l_s never falls
+    as a coordinate rises, so once L[s] plus the least the later coordinates
+    can add to class s exceeds 0, no completion passes.  At a node, a value
+    whose own class fails is skipped; a value that lifts a class of the prefix
+    past 0 ends the value loop, since every larger value lifts it too.  The
+    leaf loop likewise ends at the first value that lifts a prefix class above
+    0, so the test runs only where the prefix can still pass.
     """
     m, n, last = curve.m, len(ranges), len(ranges) - 1
     # the least sum the coordinates after depth d can add
@@ -321,8 +335,45 @@ def _scan(
             if test(dims, n):
                 out.append(alpha)
 
-    walk((), _class_base(curve), 0)
-    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
+    def pruned(prefix: tuple[int, ...], table: list[int], total: int, fixed: tuple[int, ...]) -> None:
+        # fixed: the classes of the prefix, each still able to end at most 0
+        d = len(prefix)
+        values = ranges[d]
+        if cap is not None:
+            values = range(values.start, min(values.stop, cap - total - floor[d] + 1))
+        low = least[d]
+        if d < last:
+            for a in values:
+                row = [t + (a + s) // m for s, t in enumerate(table)]
+                if any(row[s] + low[s] > 0 for s in fixed):
+                    break
+                s = -a % m
+                if row[s] + low[s] > 0:
+                    continue
+                pruned(prefix + (a,), row, total + a, fixed if s in fixed else fixed + (s,))
+            return
+        for a in values:
+            if any(table[s] + (a + s) // m > 0 for s in fixed):
+                break
+            alpha = prefix + (a,)
+            dims: dict[int, list[int]] = {}
+            for b in alpha:
+                s = -b % m
+                if s in dims:
+                    dims[s][1] += 1
+                else:
+                    dims[s] = [table[s] + (a + s) // m, 1]
+            if test(dims, n):
+                out.append(alpha)
+
+    if prune:
+        # least[d][s]: the least the coordinates after depth d can add to class s
+        least = [[sum((rng.start + s) // m for rng in ranges[d + 1:]) for s in range(m)]
+                 for d in range(last + 1)]
+        pruned((), _class_base(curve), 0, ())
+    else:
+        walk((), _class_base(curve), 0)
+    del walk, pruned  # closures that call themselves are cycles; unbinding frees them at once
     return out
 
 
@@ -331,18 +382,27 @@ def pure_gap_box_scan(
     places: Sequence[Place] | int,
     box_max: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """All pure gaps inside [1, box_max]^n, by the oracle walk over the simplex part of the box.
+    """All pure gaps inside [1, box_max]^n, by the pruned oracle walk over the box.
 
     ``places`` is either the place tuple or just n (meaning P_1..P_n).  Only
-    tuples with coordinate sum at most 2g - 1 are visited: at sum 2g or more,
+    tuples with coordinate sum at most 2g - 1 are walked: at sum 2g or more,
     deg(D_alpha - Q_i) >= 2g - 1, so Riemann-Roch gives ell(D_alpha - Q_i) =
     ell(D_alpha) - 1 and alpha is no pure gap.  The default box edge 2g thus
-    covers every pure gap, and the walk visits C(2g - 1, n) tuples, not (2g)^n.
+    covers every pure gap.  Inside that simplex the walk prunes on the classes
+    alone (see _scan): a pure gap needs l_{s_i} <= 0 for each coordinate's
+    class, each l_s is non-decreasing in every coordinate, and every later
+    coordinate is at least 1, so at a prefix with `rest` coordinates to come a
+    fixed class s is dead once L[s] + rest*[s = m - 1] > 0.  The test then
+    runs on at most about twice as many tuples as it passes, not on the
+    C(2g - 1, n) tuples of the simplex: 161 382 tests for 118 210 pure gaps at
+    (m, r, n) = (7, 12, 5), where C(65, 5) = 8 259 888.
     """
     n = _scan_places(curve, places)
     if box_max is None:
         box_max = 2 * curve.genus
-    return _scan(curve, _flat_everywhere, [range(1, box_max + 1)] * n, cap=2 * curve.genus - 1)
+    return _scan(
+        curve, _flat_everywhere, [range(1, box_max + 1)] * n, cap=2 * curve.genus - 1, prune=True
+    )
 
 
 def _window_scan(

@@ -160,6 +160,11 @@ def test_pure_gaps_from_relative_maximals():
     assert pure_gaps_from_relative_maximals([(1, 1)], 2) == []
     with pytest.raises(ValueError):
         pure_gaps_from_relative_maximals([(1, 2, 3)], 2)
+    with pytest.raises(ValueError):
+        pure_gaps_from_relative_maximals([()], 0)
+    # the box caps every axis
+    assert pure_gaps_from_relative_maximals([(4, 1), (1, 4), (2, 2)], 2, 1) == [(1, 1)]
+    assert pure_gaps_from_relative_maximals([(4, 1), (1, 4), (2, 2)], 2, 0) == []
 
 
 
@@ -190,22 +195,29 @@ def ref_glbs(relative_maximals, n):
     lambda n: st.tuples(
         st.just(n), st.lists(st.tuples(*[st.integers(0, 12)] * n), max_size=25)
     )
-))
-def test_glb_route_matches_nested_search(case):
+), st.integers(-1, 13))
+def test_glb_route_matches_nested_search(case, box):
     n, elems = case
     got = pure_gaps_from_relative_maximals(elems, n)
     assert got == ref_glbs(elems, n)
     assert all(a < b for a, b in zip(got, got[1:]))
+    assert pure_gaps_from_relative_maximals(elems, n, box) == [t for t in got if max(t) <= box]
 
 
 def test_glb_route_matches_oracle_on_small_curves(corpus):
     for curve in corpus:
-        for n in range(2, min(curve.r - curve.r // curve.m, 4) + 1):
-            via_glb = pure_gaps_from_relative_maximals(lambda_star(curve, n), n)
+        m, g = curve.m, curve.genus
+        for n in range(2, min(curve.r - curve.r // m, 4) + 1):
+            elems = lambda_star(curve, n)
+            via_glb = pure_gaps_from_relative_maximals(elems, n)
             assert via_glb == pure_gap_box_scan(curve, n), (curve, n)
             assert via_glb == list(pure_gaps(curve, n)), (curve, n)
             if n <= 3:
-                assert via_glb == ref_glbs(lambda_star(curve, n), n), (curve, n)
+                assert via_glb == ref_glbs(elems, n), (curve, n)
+            # the capped walk is the clipped full walk
+            for box in (0, 1, m, g, 2 * g):
+                want = [t for t in via_glb if max(t) <= box]
+                assert pure_gaps_from_relative_maximals(elems, n, box) == want, (curve, n, box)
 
 
 def test_permutation_closed():

@@ -1,7 +1,7 @@
 import gc
 import random
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +21,11 @@ from puregaps import (
     is_pure_gap,
     is_relative_maximal,
     lambda_star,
+    pure_gap_count,
     pure_gaps_from_relative_maximals,
     verify_period,
 )
+from puregaps import riemann_roch
 from puregaps.riemann_roch import (
     _absolute,
     _class_base,
@@ -415,6 +417,64 @@ def test_scans_match_full_box_scan_random(mr, data):
     lo = data.draw(st.integers(-(n - 1) * (m - 1), 2 * g))
     hi = data.draw(st.integers(lo - 1, lo + max(0, edge // m ** (n - 1))))
     check_window_scans(curve, places, lo, hi)
+
+
+# --- the pruned pure-gap walk against the unpruned one ------------------------
+
+
+def unpruned_box_scan(curve, places):
+    # the walk the prune replaced: every tuple of the 2g box under the 2g - 1 cap
+    g = curve.genus
+    return _scan(curve, _flat_everywhere, [range(1, 2 * g + 1)] * len(places), 2 * g - 1)
+
+
+def test_pruned_box_scan_matches_unpruned_walk(corpus):
+    for curve in corpus:
+        for n in range(1, min(curve.r, 5) + 1):
+            for places in dict.fromkeys([curve.ramified_places(n), curve.ramified_places()[-n:]]):
+                assert pure_gap_box_scan(curve, places) == unpruned_box_scan(curve, places)
+
+
+genus40_curve = st.integers(2, 41).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(2, 80 // (m - 1) + 1))
+).filter(lambda mr: gcd(*mr) == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(genus40_curve, st.data())
+def test_pruned_box_scan_matches_full_scans_to_genus_40(mr, data):
+    curve = KummerCurve(*mr)
+    g = curve.genus
+    idx = data.draw(
+        st.lists(st.integers(1, curve.r), min_size=1, max_size=min(curve.r, 5), unique=True)
+    )
+    places = tuple(curve.place(j) for j in idx)
+    n = len(places)
+    edge = int(20000 ** (1 / n))  # keeps the reference scan near 2e4 tuples
+    box = data.draw(st.integers(0, min(2 * g, edge)))
+    check_box_scan(curve, places, (box,))
+    if comb(2 * g - 1, n) <= 20000:
+        assert pure_gap_box_scan(curve, places) == unpruned_box_scan(curve, places)
+
+
+@pytest.mark.parametrize("m,r,n", [(5, 13, 4), (5, 13, 5), (7, 23, 3)])
+def test_box_scan_tests_at_most_twice_its_output(monkeypatch, m, r, n):
+    # the prune leaves the pure-gap test at most 2 * output + 1 tuples, where
+    # the unpruned walk tests all C(2g - 1, n) of the simplex
+    calls = 0
+
+    def counting(dims, k):
+        nonlocal calls
+        calls += 1
+        return _flat_everywhere(dims, k)
+
+    monkeypatch.setattr(riemann_roch, "_flat_everywhere", counting)
+    curve = KummerCurve(m, r)
+    found = pure_gap_box_scan(curve, n)
+    assert len(found) == pure_gap_count(curve, n)
+    assert calls <= 2 * len(found) + 1 < comb(2 * curve.genus - 1, n)
+    base = _class_base(curve)
+    assert all(_flat_everywhere(_class_dims(m, base, a), n) for a in found)
 
 
 def test_walks_leave_no_cyclic_garbage():
