@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from itertools import islice, takewhile
+from itertools import islice
 from typing import Sequence
 
 from . import codes as codes_mod
@@ -182,11 +182,7 @@ def cmd_verify(args) -> int:
     places = tuple(curve.place(j) for j in idx)
     box = args.max_box if args.max_box is not None else 2 * curve.genus
 
-    # the stream is in lexicographic order, so the first tuple past the box
-    # on the first axis ends the window
-    enumerated = [
-        t for t in takewhile(lambda t: t[0] <= box, gapsets.pure_gaps(curve, n)) if max(t) <= box
-    ]
+    enumerated = list(gapsets.pure_gaps(curve, n, box))
     oracle = pure_gap_box_scan(curve, places, box_max=box)
     routes = {"enumeration": enumerated, "oracle": oracle}
     if maximals._in_window(curve, n):

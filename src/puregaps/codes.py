@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .curves import KummerCurve
 from .errors import DegreeWindowError
@@ -94,14 +94,22 @@ def goppa_params(length: int, degree: int, genus: int) -> tuple[int, int]:
 
 def design_code(spec: CodeSpec) -> CodeParams:
     """Parameters of the differential code built on the spec's pure-gap cell."""
-    curve, n, k = spec.curve, spec.n, spec.k
+    bounds = _box_bounds(spec.curve, spec.k, spec.n)
+    return _design(spec.curve, spec.k, spec.partition, spec.a, bounds, spec.length)
+
+
+def _design(
+    curve: KummerCurve, k: int, partition: tuple[int, ...], a: tuple[int, ...],
+    bounds: Sequence[int], length: int,
+) -> CodeParams:
+    """design_code on a checked cell: bounds are those of the level-k box, and a lies in it."""
     m, r, g = curve.m, curve.r, curve.genus
-    bounds = _box_bounds(curve, k, n)  # ceil(m*(k+j)/r) = m - b_j
-    degree = sum(2 * kj * m + aj - 1 + bj for kj, aj, bj in zip(spec.partition, spec.a, bounds))
-    _check_window(degree, g, spec.length)
-    dimension = spec.length + n - 2 * k * m - 1 + g - sum(spec.a) - sum(bounds)
+    # ceil(m*(k+j)/r) = m - b_j
+    degree = sum(2 * kj * m + aj - 1 + bj for kj, aj, bj in zip(partition, a, bounds))
+    _check_window(degree, g, length)
+    dimension = length + len(bounds) - 2 * k * m - 1 + g - sum(a) - sum(bounds)
     distance = 2 * k * m - m * r + m + r + 1 + 2 * sum(bounds)
-    return _params(spec.length, dimension, distance, degree)
+    return _params(length, dimension, distance, degree)
 
 
 def shorten(params: CodeParams, s: int) -> CodeParams:
@@ -210,6 +218,8 @@ def _cell_rows(
 
     One row per offset sum in spec.a_values.  A sweep skips the sums whose
     degree leaves the code window instead of raising DegreeWindowError.
+    _offsets_with_sum refuses an empty box and keeps the offsets inside it,
+    so the rows meet CodeSpec's checks without building the box again.
     """
     length = points - spec.n
     partition = (spec.k,) + (0,) * (spec.n - 1)
@@ -217,7 +227,7 @@ def _cell_rows(
     for a_sum in spec.a_values:
         a = _offsets_with_sum(box, a_sum)
         try:
-            params = design_code(CodeSpec(curve, spec.n, spec.k, partition, a, length))
+            params = _design(curve, spec.k, partition, a, box.bounds, length)
         except DegreeWindowError:
             if sweep:
                 continue

@@ -32,6 +32,10 @@ list of leaves made by a constructor the caller passes in, and hands out the
 same list for every prefix of that class: 1-tuples for the tuple stream,
 rendered strings for the CLI.  Over the benchmark's stream pool there are
 about eleven prefixes per distinct block.
+
+A box [1, box_max]^n clips those intervals on every axis.  Since t = 1
+completes every kept prefix, the capped walk still has no dead branch, and
+its work follows the pure gaps in the box, not those of the whole curve.
 """
 
 from __future__ import annotations
@@ -105,30 +109,34 @@ def g_k_zero(curve: KummerCurve, n: int, k: int) -> list[TupleZ]:
     return [(k * m + t[0],) + t[1:] for t in _sigma_union(b_k(curve, n, k))]
 
 
-def pure_gaps(curve: KummerCurve, n: int) -> Iterator[TupleZ]:
+def pure_gaps(curve: KummerCurve, n: int, box_max: int | None = None) -> Iterator[TupleZ]:
     """Lexicographically ordered stream of every pure gap at P_1, ..., P_n.
 
     The blocks of pure_gap_blocks with 1-tuple leaves, each appended to its
     prefix.  A block is shared by every prefix with the same sorted residues
     and level (see the module docstring), so the walk keeps one list per such
-    pair and no heap.  n is checked on the call.
+    pair and no heap.  With box_max, only the pure gaps in [1, box_max]^n
+    come out, and the walk visits no prefix outside that box.  n is checked
+    on the call.
     """
-    blocks = pure_gap_blocks(curve, n, lambda t: (t,))
+    blocks = pure_gap_blocks(curve, n, lambda t: (t,), box_max)
     return chain.from_iterable(map(prefix.__add__, block) for prefix, block in blocks)
 
 
 def pure_gap_blocks(
-    curve: KummerCurve, n: int, leaf: Callable[[int], object]
+    curve: KummerCurve, n: int, leaf: Callable[[int], object], box_max: int | None = None
 ) -> Iterator[tuple[TupleZ, list]]:
     """The pure-gap stream in blocks: (prefix, [leaf(t) for every t completing prefix]).
 
     One pair per (n-1)-prefix, in lexicographic order, with t ascending in
-    each block; blocks are never empty.  A block list is shared by every
-    prefix of the same sorted residues and level, so callers must not mutate
-    it.  n is checked on the call.
+    each block.  With box_max, every coordinate stays at most box_max; since
+    t = 1 completes every kept prefix (see the module docstring), blocks are
+    never empty for box_max >= 1, and box_max < 1 yields no block at all.  A
+    block list is shared by every prefix of the same sorted residues and
+    level, so callers must not mutate it.  n is checked on the call.
     """
     _require_places(curve, n)
-    return _BlockWalk(curve.m, n, _level_bounds(curve, n), leaf).walk((), (), 0)
+    return _BlockWalk(curve.m, n, _level_bounds(curve, n), leaf, box_max).walk((), (), 0)
 
 
 def _level_bounds(curve: KummerCurve, n: int) -> list[TupleZ]:
@@ -149,9 +157,19 @@ class _BlockWalk:
     cyclic collector finds them.
     """
 
-    def __init__(self, m: int, n: int, bounds: Sequence[TupleZ], leaf: Callable[[int], object]):
+    def __init__(
+        self, m: int, n: int, bounds: Sequence[TupleZ], leaf: Callable[[int], object],
+        box_max: int | None,
+    ):
         self.m, self.n, self.bounds = m, n, bounds
-        self.leaves = [leaf(t) for t in range(len(bounds) * m)]
+        # every coordinate lies below stop, the end of the top level's cell or
+        # the box, so it lies in one of the first `cells` cells; a coordinate
+        # c*m + u added at level k has c < reach[k] = min(levels - k, cells)
+        levels = len(bounds)
+        self.stop = levels * m if box_max is None else min(levels * m, box_max + 1)
+        cells = max((self.stop - 2) // m + 1, 0)
+        self.reach = [cells] * max(levels - cells, 0) + list(range(min(levels, cells), -1, -1))
+        self.leaves = [leaf(t) for t in range(self.stop)]
         self.memo: dict[tuple[TupleZ, int], list[tuple[int, int]]] = {}
         self.blocks: dict[tuple[TupleZ, int], list] = {}
 
@@ -162,13 +180,16 @@ class _BlockWalk:
         So at bounds b the prefix takes u exactly when every d_i <= b_i, and
         u <= b_0, and u <= b_i wherever d_{i-1} > b_i; the bounds do not grow
         with i, so the last such b_i is the least.  Once the prefix itself
-        fails, every higher level fails too.
+        fails, every higher level fails too.  The ranges rise with c, so the
+        box ends them at the first c with c*m + 1 >= stop, and only the range
+        of the box's last cell can cross stop.  The cap is the same for the
+        whole walk, so it needs no place in the memo key.
         """
         found = self.memo.get((residues, k))
         if found is None:
             found = self.memo[residues, k] = []
             m, bounds = self.m, self.bounds
-            for c in range(len(bounds) - k):
+            for c in range(self.reach[k]):
                 b = bounds[k + c]
                 u_max = b[0]
                 for d, bi, b_next in zip(residues, b, b[1:]):
@@ -177,6 +198,8 @@ class _BlockWalk:
                     if d > b_next:
                         u_max = b_next
                 found.append((c * m + 1, c * m + u_max + 1))
+            if found and found[-1][1] > self.stop:
+                found[-1] = (found[-1][0], self.stop)
         return found
 
     def walk(self, prefix: TupleZ, residues: TupleZ, k: int) -> Iterator[tuple[TupleZ, list]]:

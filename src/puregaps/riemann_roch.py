@@ -303,11 +303,15 @@ def _scan(
     prune is for a test that passes only tuples with l_{s_i} <= 0 for every
     coordinate's class s_i, as the pure-gap test does.  Each l_s never falls
     as a coordinate rises, so once L[s] plus the least the later coordinates
-    can add to class s exceeds 0, no completion passes.  At a node, a value
-    whose own class fails is skipped; a value that lifts a class of the prefix
-    past 0 ends the value loop, since every larger value lifts it too.  The
-    leaf loop likewise ends at the first value that lifts a prefix class above
-    0, so the test runs only where the prefix can still pass.
+    can add to class s exceeds 0, no completion passes.  For a class s of the
+    prefix, with least[d][s] the least the coordinates after depth d add to
+    it, the first value a at depth d that lifts it past 0 solves
+    (a + s)//m > -(L[s] + least[d][s]), which is a = m*(1 - L[s] - least[d][s]) - s;
+    every larger value fails too.  So each node computes one stop value, the
+    least of these, the range end and the sum cap, and below it checks only
+    the value's own class, in O(1).  Only values that pass get a child row or
+    a leaf class table, and every leaf that reaches the test has all its
+    classes at most 0, so the pure-gap test runs once per tuple it returns.
     """
     m, n, last = curve.m, len(ranges), len(ranges) - 1
     # the least sum the coordinates after depth d can add
@@ -338,23 +342,24 @@ def _scan(
     def pruned(prefix: tuple[int, ...], table: list[int], total: int, fixed: tuple[int, ...]) -> None:
         # fixed: the classes of the prefix, each still able to end at most 0
         d = len(prefix)
-        values = ranges[d]
-        if cap is not None:
-            values = range(values.start, min(values.stop, cap - total - floor[d] + 1))
         low = least[d]
+        stop = ranges[d].stop
+        if cap is not None:
+            stop = min(stop, cap - total - floor[d] + 1)
+        for s in fixed:  # the first value that lifts class s past 0
+            stop = min(stop, m * (1 - table[s] - low[s]) - s)
         if d < last:
-            for a in values:
-                row = [t + (a + s) // m for s, t in enumerate(table)]
-                if any(row[s] + low[s] > 0 for s in fixed):
-                    break
+            for a in range(ranges[d].start, stop):
                 s = -a % m
-                if row[s] + low[s] > 0:
+                if table[s] + (a + s) // m + low[s] > 0:
                     continue
+                row = [t + (a + q) // m for q, t in enumerate(table)]
                 pruned(prefix + (a,), row, total + a, fixed if s in fixed else fixed + (s,))
             return
-        for a in values:
-            if any(table[s] + (a + s) // m > 0 for s in fixed):
-                break
+        for a in range(ranges[d].start, stop):
+            s = -a % m
+            if table[s] + (a + s) // m > 0:
+                continue
             alpha = prefix + (a,)
             dims: dict[int, list[int]] = {}
             for b in alpha:
@@ -392,10 +397,10 @@ def pure_gap_box_scan(
     alone (see _scan): a pure gap needs l_{s_i} <= 0 for each coordinate's
     class, each l_s is non-decreasing in every coordinate, and every later
     coordinate is at least 1, so at a prefix with `rest` coordinates to come a
-    fixed class s is dead once L[s] + rest*[s = m - 1] > 0.  The test then
-    runs on at most about twice as many tuples as it passes, not on the
-    C(2g - 1, n) tuples of the simplex: 161 382 tests for 118 210 pure gaps at
-    (m, r, n) = (7, 12, 5), where C(65, 5) = 8 259 888.
+    fixed class s is dead once L[s] + rest*[s = m - 1] > 0.  Each node solves
+    for the first value that kills a fixed class and stops there, so the test
+    runs once per pure gap, not on the C(2g - 1, n) tuples of the simplex:
+    118 210 tests at (m, r, n) = (7, 12, 5), where C(65, 5) = 8 259 888.
     """
     n = _scan_places(curve, places)
     if box_max is None:

@@ -214,10 +214,12 @@ def test_glb_route_matches_oracle_on_small_curves(corpus):
             assert via_glb == list(pure_gaps(curve, n)), (curve, n)
             if n <= 3:
                 assert via_glb == ref_glbs(elems, n), (curve, n)
-            # the capped walk is the clipped full walk
+            # each capped route, as verify runs it, is the clipped full walk
             for box in (0, 1, m, g, 2 * g):
                 want = [t for t in via_glb if max(t) <= box]
                 assert pure_gaps_from_relative_maximals(elems, n, box) == want, (curve, n, box)
+                assert list(pure_gaps(curve, n, box)) == want, (curve, n, box)
+                assert pure_gap_box_scan(curve, n, box) == want, (curve, n, box)
 
 
 def test_permutation_closed():

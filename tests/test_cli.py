@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from math import gcd
 from pathlib import Path
@@ -184,15 +185,29 @@ def test_verify_json(capsys):
 
 
 def test_verify_small_boxes(capsys):
-    gaps = list(pure_gaps(KummerCurve(5, 9), 3))
-    for box in (1, 2, 6, 11, 17):
+    curve = KummerCurve(5, 9)
+    gaps = list(pure_gaps(curve, 3))
+    for box in (0, 1, 2, 6, 11, 17):
         code, out, _ = run(
             capsys, "verify", "--m", "5", "--r", "9", "--n", "3", "--max-box", str(box), "--format", "json"
         )
-        want = sum(1 for t in gaps if max(t) <= box)
+        clipped = [t for t in gaps if max(t) <= box]
+        assert list(pure_gaps(curve, 3, box)) == clipped  # the enumeration route verify reads
+        want = len(clipped)
         payload = json.loads(out)
         assert code == 0 and payload["ok"] is True
         assert payload["routes"] == {"enumeration": want, "glb": want, "oracle": want}
+
+
+def test_verify_small_box_on_a_large_curve(capsys):
+    # 37 137 654 pure gaps at (13, 12, 6), 1 in the box: every route stops at the box
+    start = time.perf_counter()
+    code = main(["verify", "--m", "13", "--r", "12", "--n", "6", "--max-box", "1", "--format", "json"])
+    elapsed = time.perf_counter() - start
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0 and payload["ok"] is True
+    assert payload["routes"] == {"enumeration": 1, "glb": 1, "oracle": 1}
+    assert elapsed < 1.0, elapsed
 
 
 def cli_env():

@@ -20,6 +20,8 @@ from puregaps import (
     norm_trace_like_points,
     shorten,
 )
+from puregaps import codes, gapsets
+from puregaps.cli import main
 from puregaps.codes import _offsets_with_sum, _params, family_curve_points
 from puregaps.reference import carvalho_torres_bound
 
@@ -238,6 +240,26 @@ def test_offsets_with_sum_is_the_first_box_vector_with_that_sum():
 
 def test_generate_tables_empty():
     assert generate_tables([]) == []
+
+
+def test_tables_build_each_cell_box_once(monkeypatch, capsys):
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return b_k(*args)
+
+    monkeypatch.setattr(gapsets, "b_k", counting)
+    monkeypatch.setattr(codes, "b_k", counting)
+    # the norm-trace-like (2, 9, 6) sweep: 21 cells, 252 offset sums, 46 rows in the code window
+    argv = ["codes", "table", "--family", "norm-trace-like", "--q", "2", "--m", "9", "--t", "6"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 46
+    assert calls == 21
+    calls = 0
+    generate_tables(NORM_TRACE_LIKE_ROWS)
+    assert calls == len(NORM_TRACE_LIKE_ROWS)
 
 
 def test_family_curve_points():

@@ -22,7 +22,7 @@ from puregaps import (
     pure_gaps,
     union_count,
 )
-from puregaps.gapsets import _level_bounds, _sigma_union, pure_gap_blocks
+from puregaps.gapsets import _BlockWalk, _level_bounds, _sigma_union, pure_gap_blocks
 from puregaps.reference import permutation_closed, union_count_bruteforce
 
 C34 = KummerCurve(3, 4)
@@ -174,6 +174,38 @@ def test_pure_gaps_match_cell_union_random(mr, n):
     curve = KummerCurve(*mr)
     assume(n <= curve.r and pure_gap_count(curve, n) <= 50_000)  # keeps each example well under 1 s
     assert_stream_is_cell_union(curve, n)
+
+
+def assert_capped_stream_is_clipped(curve, n, full, box):
+    want = [t for t in full if max(t) <= box]
+    assert list(pure_gaps(curve, n, box)) == want, (curve, n, box)
+    blocks = [block for _, block in pure_gap_blocks(curve, n, lambda t: (t,), box)]
+    if box < 1:
+        assert blocks == [], (curve, n, box)
+    else:
+        assert all(blocks), (curve, n, box)
+    # the walk memoizes no empty range and none past the box
+    walk = _BlockWalk(curve.m, n, _level_bounds(curve, n), str, box)
+    for _ in walk.walk((), (), 0):
+        pass
+    assert all(lo < hi <= box + 1 for found in walk.memo.values() for lo, hi in found), (curve, n, box)
+
+
+def test_capped_stream_is_the_clipped_stream(corpus):
+    for curve in corpus:
+        m, g = curve.m, curve.genus
+        for n in range(2, min(curve.r, 5) + 1):
+            full = list(pure_gaps(curve, n))
+            for box in (0, 1, m, g, 2 * g):
+                assert_capped_stream_is_clipped(curve, n, full, box)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(COPRIME), st.integers(2, 5), st.integers(-1, 60))
+def test_capped_stream_is_the_clipped_stream_random(mr, n, box):
+    curve = KummerCurve(*mr)
+    assume(n <= curve.r and pure_gap_count(curve, n) <= 50_000)
+    assert_capped_stream_is_clipped(curve, n, list(pure_gaps(curve, n)), box)
 
 
 # --- the counting recursion -------------------------------------------------

@@ -163,9 +163,9 @@ def test_window_boundary_sweep(capsys):
                 continue
             curve = KummerCurve(m, r)
             top = r - r // m
-            # lambda_star and the verify routes grow to 646 646 elements at (m, r) = (12, 13),
+            # lambda_star and the glb route grow to 646 646 elements at (m, r) = (12, 13),
             # so they run on the window's upper edge of the smaller curves only
-            edges = {top, top + 1} if curve.genus <= 12 else set()
+            edges = {top, top + 1} if curve.genus <= 14 else set()
             for n in range(1, r + 2):
                 inside = 2 <= n <= top
                 if 2 <= n <= r:

@@ -22,6 +22,7 @@ from puregaps import (
     is_relative_maximal,
     lambda_star,
     pure_gap_count,
+    pure_gaps,
     pure_gaps_from_relative_maximals,
     verify_period,
 )
@@ -458,8 +459,8 @@ def test_pruned_box_scan_matches_full_scans_to_genus_40(mr, data):
 
 
 @pytest.mark.parametrize("m,r,n", [(5, 13, 4), (5, 13, 5), (7, 23, 3)])
-def test_box_scan_tests_at_most_twice_its_output(monkeypatch, m, r, n):
-    # the prune leaves the pure-gap test at most 2 * output + 1 tuples, where
+def test_box_scan_tests_each_output_once(monkeypatch, m, r, n):
+    # the stop-bound walk runs the pure-gap test once per pure gap, where
     # the unpruned walk tests all C(2g - 1, n) of the simplex
     calls = 0
 
@@ -472,15 +473,17 @@ def test_box_scan_tests_at_most_twice_its_output(monkeypatch, m, r, n):
     curve = KummerCurve(m, r)
     found = pure_gap_box_scan(curve, n)
     assert len(found) == pure_gap_count(curve, n)
-    assert calls <= 2 * len(found) + 1 < comb(2 * curve.genus - 1, n)
+    assert calls == len(found) < comb(2 * curve.genus - 1, n)
     base = _class_base(curve)
     assert all(_flat_everywhere(_class_dims(m, base, a), n) for a in found)
 
 
 def test_walks_leave_no_cyclic_garbage():
-    # the scans and the glb route walk with closures that call themselves;
-    # each call must free its walk without the cyclic collector
+    # the scans and the glb route walk with closures that call themselves, and
+    # the capped stream with memos; each call must free its walk without the
+    # cyclic collector
     walks = [
+        lambda: list(pure_gaps(C59, 3, 5)),
         lambda: pure_gap_box_scan(C59, 3),
         lambda: absolute_maximals_window_scan(C59, 3),
         lambda: relative_maximals_window_scan(C59, 3),
