@@ -15,9 +15,11 @@ assumes Kummer closed forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence
+
+from .curves import _checked_make
 
 TupleZ = tuple[int, ...]
 
@@ -46,8 +48,7 @@ def compositions(total: int, parts: int) -> Iterator[TupleZ]:
             yield rest + (last,)
 
 
-@dataclass(frozen=True)
-class MaximalFamily:
+class MaximalFamily(namedtuple("MaximalFamily", "period n box0", defaults=(None,))):
     """Level-box seed data for a set of maximal elements with equal periods.
 
     box0 maps each level k >= 0 to the elements lying in
@@ -55,32 +56,31 @@ class MaximalFamily:
     translating level boxes with w-vectors over all compositions.
     """
 
-    period: int
-    n: int
-    box0: Mapping[int, tuple[TupleZ, ...]] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.period < 1:
+    def __new__(cls, period: int, n: int, box0: Mapping | None = None):
+        if period < 1:
             raise ValueError("period must be positive")
-        if self.n < 2:
+        if n < 2:
             raise ValueError("families need n >= 2 places")
-        pi = self.period
         normalized: dict[int, tuple[TupleZ, ...]] = {}
-        for k, elems in self.box0.items():
+        for k, elems in (box0 or {}).items():
             if k < 0:
                 raise ValueError(f"box levels must be nonnegative, got {k}")
             items = sorted({tuple(e) for e in elems})
             if not items:
                 continue
             for e in items:
-                if len(e) != self.n:
-                    raise ValueError(f"element {e} does not have dimension {self.n}")
-                if not k * pi <= e[0] < (k + 1) * pi:
+                if len(e) != n:
+                    raise ValueError(f"element {e} does not have dimension {n}")
+                if not k * period <= e[0] < (k + 1) * period:
                     raise ValueError(f"element {e} is outside level-{k} window on axis 1")
-                if any(not 0 <= c < pi for c in e[1:]):
-                    raise ValueError(f"element {e} leaves [0, {pi}) on a trailing axis")
+                if any(not 0 <= c < period for c in e[1:]):
+                    raise ValueError(f"element {e} leaves [0, {period}) on a trailing axis")
             normalized[k] = tuple(items)
-        object.__setattr__(self, "box0", normalized)
+        return super().__new__(cls, period, n, normalized)
+
+    _make = classmethod(_checked_make)
 
     @classmethod
     def from_window_elements(

@@ -13,18 +13,17 @@ field arithmetic, no encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .curves import KummerCurve
+from .curves import KummerCurve, _checked_make
 from .errors import DegreeWindowError
 from .gapsets import BkBox, _box_bounds, b_k
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(namedtuple("CodeSpec", "curve n k partition a length")):
     """Inputs of one design: curve, places used, cell, offsets, and code length.
 
     partition splits the level k across the n places; a must lie in the level
@@ -32,29 +31,26 @@ class CodeSpec:
     places (all rational points minus the n code places).
     """
 
-    curve: KummerCurve
-    n: int
-    k: int
-    partition: tuple[int, ...]
-    a: tuple[int, ...]
-    length: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.partition) != self.n or len(self.a) != self.n:
+    def __new__(cls, curve: KummerCurve, n: int, k: int, partition, a, length: int):
+        if len(partition) != n or len(a) != n:
             raise ValueError("partition and a must both have one entry per place")
-        if any(p < 0 for p in self.partition):
+        if any(p < 0 for p in partition):
             raise ValueError("partition entries must be nonnegative")
-        if sum(self.partition) != self.k:
-            raise ValueError(f"partition {self.partition} does not sum to k={self.k}")
-        box = b_k(self.curve, self.n, self.k)
+        if sum(partition) != k:
+            raise ValueError(f"partition {partition} does not sum to k={k}")
+        box = b_k(curve, n, k)
         if box.empty:
-            raise ValueError(f"level k={self.k} has no pure gaps on this curve")
-        if any(not 1 <= ai <= bi for ai, bi in zip(self.a, box.bounds)):
-            raise ValueError(f"offsets {self.a} leave the level box with bounds {box.bounds}")
+            raise ValueError(f"level k={k} has no pure gaps on this curve")
+        if any(not 1 <= ai <= bi for ai, bi in zip(a, box.bounds)):
+            raise ValueError(f"offsets {a} leave the level box with bounds {box.bounds}")
+        return super().__new__(cls, curve, n, k, partition, a, length)
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class CodeParams:
+class CodeParams(NamedTuple):
     """Designed parameters [N, k, d>=d_lb] of a differential AG code.
 
     rate_sum is the exact rational (k + d_lb) / N; clamped marks specs whose
@@ -164,8 +160,7 @@ def family_curve_points(family: str, q: int, m: int, t: int | None) -> tuple[Kum
     raise ValueError(f"unknown family {family!r}")
 
 
-@dataclass(frozen=True)
-class TableRowSpec:
+class TableRowSpec(NamedTuple):
     """One family instance and cell choice, expanded into one row per offset sum."""
 
     family: str  # "hermitian-subcover" | "norm-trace-like"

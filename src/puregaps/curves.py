@@ -15,24 +15,31 @@ assumption rather than a validated precondition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from typing import Iterator, Mapping, Sequence
 
 
-@dataclass(frozen=True, order=True)
-class Place:
+def _checked_make(cls, iterable):
+    """namedtuple's _make, but through the checks of cls.__new__, which _replace then runs too."""
+    return cls(*iterable)
+
+
+class Place(namedtuple("Place", "index")):
     """A rational place: the branch place P_j (index j >= 1) or P_infinity.
 
     Index 0 is reserved for the place at infinity; use the module constant
     ``INFINITY`` rather than constructing it by hand.
     """
 
-    index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index < 0:
+    def __new__(cls, index: int):
+        if index < 0:
             raise ValueError("place index must be >= 0")
+        return super().__new__(cls, index)
+
+    _make = classmethod(_checked_make)
 
     @property
     def is_infinity(self) -> bool:
@@ -134,8 +141,7 @@ class Divisor:
         return out
 
 
-@dataclass(frozen=True)
-class KummerCurve:
+class KummerCurve(namedtuple("KummerCurve", "m r lam", defaults=(1,))):
     """The curve y^m = prod_{j=1}^r (x - alpha_j)^lambda with gcd(m, lambda*r) = 1.
 
     Carries the Kummer exponent m, the number of affine branch places r, and
@@ -144,22 +150,21 @@ class KummerCurve:
     both even).
     """
 
-    m: int
-    r: int
-    lam: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"Kummer exponent m must be >= 2, got {self.m}")
-        if self.r < 2:
-            raise ValueError(f"number of branch places r must be >= 2, got {self.r}")
-        if self.lam < 1:
-            raise ValueError(f"branch multiplicity lambda must be >= 1, got {self.lam}")
-        g = gcd(self.m, self.lam * self.r)
+    def __new__(cls, m: int, r: int, lam: int = 1):
+        if m < 2:
+            raise ValueError(f"Kummer exponent m must be >= 2, got {m}")
+        if r < 2:
+            raise ValueError(f"number of branch places r must be >= 2, got {r}")
+        if lam < 1:
+            raise ValueError(f"branch multiplicity lambda must be >= 1, got {lam}")
+        g = gcd(m, lam * r)
         if g != 1:
-            raise ValueError(
-                f"gcd(m, lambda*r) must be 1, got gcd({self.m}, {self.lam * self.r}) = {g}"
-            )
+            raise ValueError(f"gcd(m, lambda*r) must be 1, got gcd({m}, {lam * r}) = {g}")
+        return super().__new__(cls, m, r, lam)
+
+    _make = classmethod(_checked_make)
 
     @property
     def genus(self) -> int:

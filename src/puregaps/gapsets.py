@@ -40,10 +40,9 @@ its work follows the pure gaps in the box, not those of the whole curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, permutations, product
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .boxes import TupleZ, compositions
 from .curves import KummerCurve
@@ -51,8 +50,7 @@ from .errors import NOutOfRangeError
 from .maximals import _in_window, _require_places, lambda_star
 
 
-@dataclass(frozen=True)
-class BkBox:
+class BkBox(NamedTuple):
     """Product box of pure-gap offsets at one level.
 
     bounds are non-increasing; the box counts as empty past the last level
@@ -279,8 +277,7 @@ def pure_gap_count_multiple_plus_one(curve: KummerCurve, n: int, u: int) -> int:
     return u**n * total
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(NamedTuple):
     """One side-m grid cell of the three-place pure-gap diagram."""
 
     origin: TupleZ
@@ -297,8 +294,7 @@ class Cube:
         }
 
 
-@dataclass(frozen=True)
-class CubeData:
+class CubeData(NamedTuple):
     """Plot payload: all nonempty cells plus the positive relative maximal points."""
 
     cubes: tuple[Cube, ...]

@@ -9,15 +9,14 @@ Riemann-Roch oracle verifies them independently in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boxes import MaximalFamily, TupleZ, compositions
 from .curves import KummerCurve
 from .errors import NOutOfRangeError
 
 
-@dataclass(frozen=True)
-class OnePlaceGaps:
+class OnePlaceGaps(NamedTuple):
     """The gap set of the Weierstrass semigroup at a single place.
 
     Exactly genus-many gaps, all within [1, 2g-1].

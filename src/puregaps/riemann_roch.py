@@ -36,15 +36,13 @@ its m-class sweep remain the reference they are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .curves import Divisor, KummerCurve, Place
 from .errors import PeriodSearchError
 
 
-@dataclass(frozen=True)
-class EllResult:
+class EllResult(NamedTuple):
     """Dimension of L(D) together with the contribution of each residue class.
 
     dim equals sum over s of max(0, per_residue[s]); negative entries record

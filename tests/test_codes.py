@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -96,15 +97,18 @@ def test_code_spec_validation():
         CodeSpec(c47, 2, 5, (5, 0), (1, 1), 174)  # level past the last nonempty box
 
 
+DESIGN_CASES = [
+    (KummerCurve(4, 7), 2, 174),
+    (KummerCurve(5, 9), 2, 368),
+    (KummerCurve(5, 9), 3, 367),
+    (KummerCurve(3, 8, 7), 2, 175),
+    (KummerCurve(9, 8, 7), 2, 511),
+]
+
+
 def test_design_matches_component_bounds():
     # dimension via the genus-degree count, distance via the pure-gap interval bound
-    for curve, n, length in [
-        (KummerCurve(4, 7), 2, 174),
-        (KummerCurve(5, 9), 2, 368),
-        (KummerCurve(5, 9), 3, 367),
-        (KummerCurve(3, 8, 7), 2, 175),
-        (KummerCurve(9, 8, 7), 2, 511),
-    ]:
+    for curve, n, length in DESIGN_CASES:
         m, r, g = curve.m, curve.r, curve.genus
         from puregaps import max_level
 
@@ -136,17 +140,19 @@ def test_parameters_independent_of_partition():
 
 
 def test_interval_of_offsets_is_all_pure_gaps():
-    # the box property behind the improved floor, checked against the oracle
-    c59 = KummerCurve(5, 9)
-    k, partition = 4, (4, 0, 0)
-    box = b_k(c59, 3, k)
-    a = (1, 1, 1)
-    alpha = tuple(p * 5 + x for p, x in zip(partition, a))
-    beta = tuple(p * 5 + b for p, b in zip(partition, box.bounds))
-    for x in range(alpha[0], beta[0] + 1):
-        for y in range(alpha[1], beta[1] + 1):
-            for z in range(alpha[2], beta[2] + 1):
-                assert is_pure_gap(c59, (x, y, z))
+    # the box property behind the improved floor, checked against the oracle on every table
+    # row and design case: each tuple of [p*m + 1, p*m + b], p = (k, 0, ..., 0), b = B_k's bounds
+    cells = [
+        (family_curve_points(s.family, s.q, s.m, s.t)[0], s.n, s.k)
+        for s in HERMITIAN_SUBCOVER_ROWS + NORM_TRACE_LIKE_ROWS
+    ]
+    cells += [(c, n, k) for c, n, _ in DESIGN_CASES for k in range(max_level(c, n) + 1)]
+    for curve, n, k in cells:
+        box = b_k(curve, n, k)
+        assert not box.empty, (curve, n, k)
+        low = (k * curve.m,) + (0,) * (n - 1)
+        for alpha in product(*(range(p + 1, p + b + 1) for p, b in zip(low, box.bounds))):
+            assert is_pure_gap(curve, alpha), (curve, n, k, alpha)
 
 
 def test_distance_floor_clamp():

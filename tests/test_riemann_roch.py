@@ -402,6 +402,22 @@ def test_window_scans_match_full_window_scan(corpus):
             check_window_scans(curve, curve.ramified_places()[-n:])
 
 
+def test_window_scan_outputs_lie_in_one_residue_class(corpus):
+    # every class adds at least 1 to lost, and lost is 1 (absolute), or n - 1 with at most
+    # c_s - 1 per class (relative); so one class occurs, which fixes each trailing
+    # coordinate of the window at t[0] mod m
+    outputs = 0
+    for curve in corpus:
+        m = curve.m
+        for n in range(2, min(curve.r, 3) + 1):
+            for places in dict.fromkeys([curve.ramified_places(n), curve.ramified_places()[-n:]]):
+                for scan in (absolute_maximals_window_scan, relative_maximals_window_scan):
+                    for t in scan(curve, places):
+                        assert all(c == t[0] % m for c in t[1:]), (curve, places, scan, t)
+                        outputs += 1
+    assert outputs > 1000
+
+
 @settings(max_examples=40, deadline=None)
 @given(coprime_curve, st.data())
 def test_scans_match_full_box_scan_random(mr, data):
