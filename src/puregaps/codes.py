@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .curves import KummerCurve, _checked_make
 from .errors import DegreeWindowError
@@ -50,19 +50,18 @@ class CodeSpec(namedtuple("CodeSpec", "curve n k partition a length")):
     _make = classmethod(_checked_make)
 
 
-class CodeParams(NamedTuple):
+class CodeParams(
+    namedtuple(
+        "CodeParams", "length dimension distance_lb degree rate_sum clamped", defaults=(False,)
+    )
+):
     """Designed parameters [N, k, d>=d_lb] of a differential AG code.
 
-    rate_sum is the exact rational (k + d_lb) / N; clamped marks specs whose
-    raw distance bound was nonpositive and got floored at 1.
+    rate_sum is the exact rational (k + d_lb) / N, a Fraction; clamped marks
+    specs whose raw distance bound was nonpositive and got floored at 1.
     """
 
-    length: int
-    dimension: int
-    distance_lb: int
-    degree: int
-    rate_sum: Fraction
-    clamped: bool = False
+    __slots__ = ()
 
 
 def _params(length: int, dimension: int, distance_lb: int, degree: int) -> CodeParams:
@@ -160,16 +159,14 @@ def family_curve_points(family: str, q: int, m: int, t: int | None) -> tuple[Kum
     raise ValueError(f"unknown family {family!r}")
 
 
-class TableRowSpec(NamedTuple):
-    """One family instance and cell choice, expanded into one row per offset sum."""
+class TableRowSpec(namedtuple("TableRowSpec", "family q m n k a_values t", defaults=(None,))):
+    """One family instance and cell choice, expanded into one row per offset sum.
 
-    family: str  # "hermitian-subcover" | "norm-trace-like"
-    q: int
-    m: int
-    n: int
-    k: int
-    a_values: tuple[int, ...]
-    t: int | None = None
+    family is "hermitian-subcover" or "norm-trace-like"; t is None unless the
+    family needs it.
+    """
+
+    __slots__ = ()
 
 
 HERMITIAN_SUBCOVER_ROWS = (

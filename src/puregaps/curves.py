@@ -15,6 +15,7 @@ assumption rather than a validated precondition.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from math import gcd
 from typing import Iterator, Mapping, Sequence
@@ -68,7 +69,7 @@ class Divisor:
             for place, c in coeffs.items():
                 if not isinstance(place, Place):
                     raise TypeError(f"divisor keys must be places, got {place!r}")
-                c = int(c)
+                c = operator.index(c)
                 if c:
                     data[place] = c
         self._coeffs = data
@@ -98,18 +99,15 @@ class Divisor:
     def __add__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for place, c in other._coeffs.items():
-            merged[place] = merged.get(place, 0) + c
-        return Divisor(merged)
+        return _merged(self._coeffs, other._coeffs, 1)
 
     def __sub__(self, other: "Divisor") -> "Divisor":
         if not isinstance(other, Divisor):
             return NotImplemented
-        return self + (-other)
+        return _merged(self._coeffs, other._coeffs, -1)
 
     def __neg__(self) -> "Divisor":
-        return Divisor({p: -c for p, c in self._coeffs.items()})
+        return _wrap({p: -c for p, c in self._coeffs.items()})
 
     def __mul__(self, scalar: int) -> "Divisor":
         return Divisor({p: scalar * c for p, c in self._coeffs.items()})
@@ -139,6 +137,25 @@ class Divisor:
         for part in parts[1:]:
             out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
         return out
+
+
+def _wrap(coeffs: dict[Place, int]) -> Divisor:
+    """A Divisor over coeffs, which must already map places to nonzero ints; no copy is made."""
+    div = object.__new__(Divisor)
+    div._coeffs = coeffs
+    return div
+
+
+def _merged(left: dict[Place, int], right: dict[Place, int], sign: int) -> Divisor:
+    """left + sign*right, both valid coefficient dicts, in a new dict without zero entries."""
+    out = dict(left)
+    for place, c in right.items():
+        c = out.get(place, 0) + sign * c
+        if c:
+            out[place] = c
+        else:
+            del out[place]
+    return _wrap(out)
 
 
 class KummerCurve(namedtuple("KummerCurve", "m r lam", defaults=(1,))):

@@ -40,9 +40,10 @@ its work follows the pure gaps in the box, not those of the whole curve.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, permutations, product
 from math import comb
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .boxes import TupleZ, compositions
 from .curves import KummerCurve
@@ -50,16 +51,14 @@ from .errors import NOutOfRangeError
 from .maximals import _in_window, _require_places, lambda_star
 
 
-class BkBox(NamedTuple):
+class BkBox(namedtuple("BkBox", "level bounds empty")):
     """Product box of pure-gap offsets at one level.
 
     bounds are non-increasing; the box counts as empty past the last level
     that admits pure gaps, even though the bound formula still evaluates.
     """
 
-    level: int
-    bounds: tuple[int, ...]
-    empty: bool
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -277,13 +276,10 @@ def pure_gap_count_multiple_plus_one(curve: KummerCurve, n: int, u: int) -> int:
     return u**n * total
 
 
-class Cube(NamedTuple):
+class Cube(namedtuple("Cube", "origin side count level")):
     """One side-m grid cell of the three-place pure-gap diagram."""
 
-    origin: TupleZ
-    side: int
-    count: int
-    level: int
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -294,11 +290,10 @@ class Cube(NamedTuple):
         }
 
 
-class CubeData(NamedTuple):
+class CubeData(namedtuple("CubeData", "cubes relative_maximals")):
     """Plot payload: all nonempty cells plus the positive relative maximal points."""
 
-    cubes: tuple[Cube, ...]
-    relative_maximals: tuple[TupleZ, ...]
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {

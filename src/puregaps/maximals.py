@@ -9,21 +9,20 @@ Riemann-Roch oracle verifies them independently in the tests.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .boxes import MaximalFamily, TupleZ, compositions
 from .curves import KummerCurve
 from .errors import NOutOfRangeError
 
 
-class OnePlaceGaps(NamedTuple):
+class OnePlaceGaps(namedtuple("OnePlaceGaps", "gaps at_infinity")):
     """The gap set of the Weierstrass semigroup at a single place.
 
     Exactly genus-many gaps, all within [1, 2g-1].
     """
 
-    gaps: tuple[int, ...]
-    at_infinity: bool
+    __slots__ = ()
 
 
 def h_one_place(curve: KummerCurve, at_infinity: bool = False) -> OnePlaceGaps:

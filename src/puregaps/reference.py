@@ -11,6 +11,22 @@ from itertools import permutations, product
 from typing import Iterable, Sequence
 
 
+def per_residue_literal(m: int, r: int, coeffs: dict[int, int], a_inf: int) -> list[int]:
+    """l_s for s = 0..m-1, term by term from the closed form of riemann_roch.
+
+    l_s = floor((a_inf - s*r) / m) + 1 + sum_j (a_j + s)//m, the branch sum
+    written out for every class, in O(m * |coeffs|).  Independent oracle for
+    riemann_roch._per_residue, which buckets the same steps in O(m + |coeffs|).
+    """
+    out = []
+    for s in range(m):
+        v = (a_inf - s * r) // m + 1
+        for c in coeffs.values():
+            v += (c + s) // m
+        out.append(v)
+    return out
+
+
 def union_count_bruteforce(bounds: Sequence[int]) -> int:
     """|union over permutations of the box| by explicit set enumeration.
 

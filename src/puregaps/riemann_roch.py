@@ -17,91 +17,106 @@ This closed form is the package's single trust anchor: it is accepted only
 because the exact Riemann-Roch identity ell(D) - ell(W - D) = deg(D) + 1 - g
 holds on randomized divisor suites (see the tests).  Everything else in the
 module reduces membership questions (semigroup, gap, pure gap, maximality,
-discrepancy, period) to a handful of ell evaluations.
+discrepancy, period) to the classes l_s.
 
-The tuple predicates need less than that.  For D_alpha = sum_i alpha_i Q_i
-(a_inf = 0) the classes read l_s(alpha) = floor(-s*r/m) + 1 + sum_j
-floor((alpha_j + s)/m), and lowering alpha_i by one lowers exactly one class,
-s_i = (-alpha_i) mod m, by exactly one.  Hence the one-residue identity
+For 0 <= s < m, (a + s)//m = a//m + [s >= m - a mod m], so each branch
+coefficient adds a//m to every class and one more to the classes from
+m - a mod m on.  ell buckets these steps and sums them in one pass, in
+O(m + |supp D|) rather than O(m * |supp D|).
 
-    ell(D_alpha - Q_i) = ell(D_alpha) - [l_{s_i}(alpha) > 0],
+Lowering one place by one lowers exactly one class by one: P_j lowers the
+s with a_j + s a multiple of m, s = (-a_j) mod m, and P_inf lowers the s with
+a_inf - s*r a multiple of m, s = a_inf * r^(-1) mod m as gcd(m, r) = 1.  Hence
+the one-residue identity
 
-and lowering every coordinate turns l_s into l_s - c_s, where c_s counts the
-coordinates in class s.  So alpha is in the generalized semigroup iff
-l_{s_i} >= 1 for all i, a non-negative alpha is a pure gap iff l_{s_i} <= 0
-for all i, and both maximality tests read only the classes {s_i} and their
-counts.  The predicates and the box scans evaluate these few classes; ell and
-its m-class sweep remain the reference they are tested against.
+    ell(D - P) = ell(D) - [l_{s_P}(D) > 0].
+
+For D_alpha = sum_i alpha_i Q_i (a_inf = 0), lowering every coordinate turns
+l_s into l_s - c_s, where c_s counts the coordinates in class s.  So alpha is
+in the generalized semigroup iff l_{s_i} >= 1 for all i, a non-negative alpha
+is a pure gap iff l_{s_i} <= 0 for all i, and both maximality tests read only
+the classes {s_i} and their counts: O(n^2), with no O(m) table.
+
+D is a discrepancy for (P_1, P_2), that is ell(D) > ell(D - P_2) and
+ell(D - P_1) = ell(D - P_1 - P_2), iff P_1 and P_2 lower the same class s and
+l_s(D) = 1: the first condition is l_s(D) >= 1 for the class s of P_2, and
+lowering P_1 leaves the class of P_2 as it is and lowers l_s only if P_1 is in
+class s too.  That reads one class, in O(|supp D|).  The period search steps
+from k - 1 to k by raising class -k and lowering class k - 1 of k*P_i - k*P_j,
+in O(1), so it runs in O(m + bound), which is O(bound) at the default bound
+2g + m.  ell and its m-class pass remain the reference these shortcuts are
+tested against.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+import operator
+from collections import namedtuple
+from typing import Sequence
 
 from .curves import Divisor, KummerCurve, Place
 from .errors import PeriodSearchError
 
 
-class EllResult(NamedTuple):
+class EllResult(namedtuple("EllResult", "dim per_residue")):
     """Dimension of L(D) together with the contribution of each residue class.
 
     dim equals sum over s of max(0, per_residue[s]); negative entries record
     how far a class is from contributing.
     """
 
-    dim: int
-    per_residue: tuple[int, ...]
+    __slots__ = ()
 
 
 def _per_residue(m: int, r: int, coeffs: dict[int, int], a_inf: int) -> list[int]:
-    # (a_j + s)//m == 0 whenever a_j == 0 and 0 <= s < m, so zero coefficients
-    # are skipped; ceil((-a-s)/m) = -((a+s)//m).
+    # ceil((-a-s)/m) = -((a+s)//m).  steps[s] counts the branch terms (a + s)//m
+    # that step up at class s (see the module docstring); level is l_s less its
+    # P_inf term.
+    steps = [0] * m
+    level = 1
+    for c in coeffs.values():
+        level += c // m
+        t = c % m
+        if t:
+            steps[m - t] += 1
     out = []
-    for s in range(m):
-        v = (a_inf - s * r) // m + 1
-        for c in coeffs.values():
-            v += (c + s) // m
-        out.append(v)
+    for step in steps:
+        level += step
+        out.append(a_inf // m + level)
+        a_inf -= r  # a_inf - s*r for the next class s
     return out
 
 
-def _split_divisor(
-    curve: KummerCurve, terms: Iterable[tuple[Place, int]]
-) -> tuple[dict[int, int], int]:
-    """The branch coefficients by index and the P_inf coefficient of sum c*place; repeats add up."""
-    coeffs: dict[int, int] = {}
-    a_inf = 0
-    for place, c in terms:
-        if place.is_infinity:
-            a_inf += c
-        elif place.index <= curve.r:
-            coeffs[place.index] = coeffs.get(place.index, 0) + c
-        else:
-            raise ValueError(
-                f"divisor supported on {place}, but the curve has only r={curve.r} branch places"
-            )
+def _off_curve(curve: KummerCurve, place: Place) -> ValueError:
+    return ValueError(
+        f"divisor supported on {place}, but the curve has only r={curve.r} branch places"
+    )
+
+
+def _split_divisor(curve: KummerCurve, div: Divisor) -> tuple[dict[int, int], int]:
+    """The branch coefficients of div by index, and its P_inf coefficient."""
+    coeffs = {p.index: c for p, c in div._coeffs.items()}
+    a_inf = coeffs.pop(0, 0)
+    if coeffs and max(coeffs) > curve.r:
+        raise _off_curve(curve, Place(min(j for j in coeffs if j > curve.r)))
     return coeffs, a_inf
 
 
-def _dim(curve: KummerCurve, terms: Iterable[tuple[Place, int]]) -> int:
-    """ell(sum c*place) over the (place, c) terms."""
-    return sum(v for v in _per_residue(curve.m, curve.r, *_split_divisor(curve, terms)) if v > 0)
-
-
 def ell(curve: KummerCurve, div: Divisor) -> EllResult:
-    """Exact dimension of the Riemann-Roch space L(D).
+    """Exact dimension of the Riemann-Roch space L(D), in O(m + |supp D|).
 
     D must be supported on the branch places P_1..P_r and P_infinity.
     """
-    coeffs, a_inf = _split_divisor(curve, div)
-    per = _per_residue(curve.m, curve.r, coeffs, a_inf)
-    return EllResult(sum(v for v in per if v > 0), tuple(per))
+    per = _per_residue(curve.m, curve.r, *_split_divisor(curve, div))
+    return EllResult(sum([v for v in per if v > 0]), tuple(per))
 
 
-def _place_indices(curve: KummerCurve, places: Sequence[Place] | None, n: int) -> list[int]:
-    """The indices of n pairwise distinct branch places; None means P_1..P_n."""
+def _check_places(curve: KummerCurve, places: Sequence[Place] | None, n: int) -> None:
+    """Refuse places unless they are n pairwise distinct branch places; None means P_1..P_n."""
     if places is None:
-        places = curve.ramified_places(n)
+        if 1 <= n <= curve.r:
+            return
+        places = curve.ramified_places(n)  # raises the range error
     if len(places) != n:
         raise ValueError(f"{n}-tuple given with {len(places)} places")
     if len(set(places)) != len(places):
@@ -109,7 +124,6 @@ def _place_indices(curve: KummerCurve, places: Sequence[Place] | None, n: int) -
     for p in places:
         if p.is_infinity or p.index > curve.r:
             raise ValueError(f"{p} is not a branch place of the curve (r={curve.r})")
-    return [p.index for p in places]
 
 
 def _class_base(curve: KummerCurve) -> list[int]:
@@ -118,7 +132,7 @@ def _class_base(curve: KummerCurve) -> list[int]:
     return [(-s * r) // m + 1 for s in range(m)]
 
 
-def _class_dims(m: int, base: Sequence[int], alpha: Sequence[int]) -> dict[int, list[int]]:
+def _class_dims(m: int, r: int, alpha: Sequence[int]) -> dict[int, list[int]]:
     """[l_s(alpha), c_s] for each class s = (-alpha_i) mod m, c_s counting the i in class s.
 
     These are the only classes that lowering coordinates of alpha can change;
@@ -131,7 +145,7 @@ def _class_dims(m: int, base: Sequence[int], alpha: Sequence[int]) -> dict[int, 
         if s in dims:
             dims[s][1] += 1
         else:
-            ls = base[s]
+            ls = (-s * r) // m + 1
             for b in alpha:
                 ls += (b + s) // m
             dims[s] = [ls, 1]
@@ -180,8 +194,9 @@ def _relative(dims: dict[int, list[int]], n: int) -> bool:
 
 
 def _holds(test, curve: KummerCurve, alpha: Sequence[int], places: Sequence[Place] | None) -> bool:
-    _place_indices(curve, places, len(alpha))
-    return test(_class_dims(curve.m, _class_base(curve), alpha), len(alpha))
+    _check_places(curve, places, len(alpha))
+    alpha = tuple(map(operator.index, alpha))
+    return test(_class_dims(curve.m, curve.r, alpha), len(alpha))
 
 
 def in_generalized_semigroup(
@@ -225,20 +240,35 @@ def is_relative_maximal(
     return _holds(_relative, curve, alpha, places)
 
 
+def _lowered_class(curve: KummerCurve, place: Place, coeffs: dict[int, int], a_inf: int) -> int:
+    """The class s whose l_s falls by one when place is lowered by one in (coeffs, a_inf)."""
+    m = curve.m
+    if place.is_infinity:
+        return a_inf * pow(curve.r, -1, m) % m
+    if place.index > curve.r:
+        raise _off_curve(curve, place)
+    return -coeffs.get(place.index, 0) % m
+
+
 def is_discrepancy(curve: KummerCurve, div: Divisor, p1: Place, p2: Place) -> bool:
-    """Whether div is a discrepancy with respect to (p1, p2).
+    """Whether div is a discrepancy with respect to (p1, p2), in O(|supp D|).
 
     Requires L(A) != L(A - P_2) while L(A - P_1) = L(A - P_1 - P_2); spaces are
     compared through their dimensions, which is equivalent here because the
-    spaces are nested.
+    spaces are nested.  That holds iff p1 and p2 lower the same class s and
+    l_s(A) = 1 (see the module docstring).
     """
     if p1 == p2:
         raise ValueError("discrepancy needs two distinct places")
-    terms = div.items()
-    both = _dim(curve, terms + [(p1, -1), (p2, -1)])  # checks p1 and p2, even where div cancels them
-    if _dim(curve, terms) == _dim(curve, terms + [(p2, -1)]):
+    coeffs, a_inf = _split_divisor(curve, div)
+    s = _lowered_class(curve, p1, coeffs, a_inf)  # checks p1 and p2, even off the support
+    if _lowered_class(curve, p2, coeffs, a_inf) != s:
         return False
-    return _dim(curve, terms + [(p1, -1)]) == both
+    m = curve.m
+    ls = (a_inf - s * curve.r) // m + 1
+    for c in coeffs.values():
+        ls += (c + s) // m
+    return ls == 1
 
 
 def verify_period(
@@ -249,16 +279,24 @@ def verify_period(
     A degree-zero divisor is principal exactly when its space is nonzero, so
     the test is ell(k*P_i - k*P_j) = 1.  The result must equal the curve
     period m; running past the search bound (default 2g + m) signals an
-    internal inconsistency.
+    internal inconsistency.  Each step updates two classes of the previous
+    divisor (see the module docstring), so the search runs in O(m + bound).
     """
     if p_i == p_j:
         raise ValueError("period needs two distinct places")
-    i, j = _place_indices(curve, (p_i, p_j), 2)
+    _check_places(curve, (p_i, p_j), 2)
     if bound is None:
         bound = 2 * curve.genus + curve.m
-    m, r = curve.m, curve.r
+    m = curve.m
+    per = _per_residue(m, curve.r, {}, 0)  # the classes of k = 0, where ell = 1
+    dim = 1
     for k in range(1, bound + 1):
-        if sum(v for v in _per_residue(m, r, {i: k, j: -k}, 0) if v > 0) == 1:
+        up, down = -k % m, (k - 1) % m  # P_i rises to k, P_j falls to -k
+        per[up] += 1
+        dim += per[up] > 0
+        dim -= per[down] > 0  # cancels the line above when up == down
+        per[down] -= 1
+        if dim == 1:
             return k
     raise PeriodSearchError(
         f"no k <= {bound} makes k*({p_i} - {p_j}) principal; curve data is inconsistent"
@@ -281,7 +319,8 @@ def _scan_places(curve: KummerCurve, places: Sequence[Place] | int) -> int:
         places = curve.ramified_places(places)
     if not places:
         raise ValueError("a scan needs at least one place")
-    return len(_place_indices(curve, places, len(places)))
+    _check_places(curve, places, len(places))
+    return len(places)
 
 
 def _scan(

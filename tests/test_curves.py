@@ -129,6 +129,74 @@ def test_divisor_algebra():
     assert repr(Divisor({p1: 1, p2: -3, INFINITY: 2})) == "2*P_inf + P_1 - 3*P_2"
 
 
+@pytest.mark.parametrize("c", [1.7, 2.0, "3", None])
+def test_divisor_rejects_non_integer_coefficients(c):
+    # no silent truncation or parsing: 1.7 is not P_1 and "3" is not 3*P_1
+    with pytest.raises(TypeError):
+        Divisor({Place(1): c})
+
+
+# --- the arithmetic fast path: results built without the validating constructor
+
+
+def test_divisor_results_drop_zero_coefficients():
+    p1, p2 = Place(1), Place(2)
+    d = Divisor({p1: 2, p2: -1, INFINITY: 3})
+    assert (d + (-d)).is_zero() and (d - d).is_zero()
+    assert (d + (-d))._coeffs == {} and (d - d)._coeffs == {}
+    got = d - Divisor({p1: 2, INFINITY: 1})
+    assert got.support == (INFINITY, p2) and got._coeffs == {p2: -1, INFINITY: 2}
+    got = d + Divisor({p2: 1, Place(3): 4})
+    assert got._coeffs == {p1: 2, INFINITY: 3, Place(3): 4}
+
+
+def test_divisor_results_share_no_dict_with_an_operand():
+    d, zero = Divisor({Place(1): 2, INFINITY: -1}), Divisor()
+    for got, operands in [
+        (d + zero, (d, zero)),
+        (zero + d, (d, zero)),
+        (d - zero, (d, zero)),
+        (zero - zero, (zero,)),
+        (-d, (d,)),
+        (-zero, (zero,)),
+    ]:
+        assert all(got._coeffs is not x._coeffs for x in operands)
+    total = d + zero
+    assert total == d and total._coeffs is not d._coeffs
+
+
+def test_divisor_operators_refuse_other_operands():
+    d = Divisor({Place(1): 2})
+    for other in (1, 0, {Place(1): 1}, Place(1), None):
+        assert d.__add__(other) is NotImplemented
+        assert d.__sub__(other) is NotImplemented
+        assert d.__eq__(other) is NotImplemented
+        assert d != other
+        with pytest.raises(TypeError):
+            d + other
+        with pytest.raises(TypeError):
+            other - d
+
+
+divisor_coeffs = st.dictionaries(
+    st.sampled_from([INFINITY] + [Place(j) for j in range(1, 6)]), st.integers(-4, 4)
+)
+
+
+@given(divisor_coeffs, divisor_coeffs)
+def test_divisor_arithmetic_matches_validating_constructor(a, b):
+    A, B = Divisor(a), Divisor(b)
+    keys = set(a) | set(b)
+    for got, want in [
+        (A + B, Divisor({p: a.get(p, 0) + b.get(p, 0) for p in keys})),
+        (A - B, Divisor({p: a.get(p, 0) - b.get(p, 0) for p in keys})),
+        (-A, Divisor({p: -c for p, c in a.items()})),
+    ]:
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got._coeffs == want._coeffs and 0 not in got._coeffs.values()
+        assert got._coeffs is not A._coeffs and got._coeffs is not B._coeffs
+
+
 def test_place_validation():
     with pytest.raises(ValueError):
         Place(-1)

@@ -1,6 +1,6 @@
 import gc
 import random
-from itertools import product
+from itertools import permutations, product
 from math import comb, gcd
 
 import pytest
@@ -12,6 +12,7 @@ from puregaps import (
     Divisor,
     KummerCurve,
     PeriodSearchError,
+    Place,
     divisor_from_tuple,
     ell,
     h_one_place,
@@ -27,11 +28,12 @@ from puregaps import (
     verify_period,
 )
 from puregaps import riemann_roch
+from puregaps.reference import per_residue_literal
 from puregaps.riemann_roch import (
     _absolute,
-    _class_base,
     _class_dims,
     _flat_everywhere,
+    _per_residue,
     _relative,
     _scan,
     absolute_maximals_window_scan,
@@ -83,6 +85,40 @@ def test_per_residue_sums_to_dim(corpus):
             D = Divisor({p: rng.randint(-5, 8) for p in places})
             res = ell(curve, D)
             assert res.dim == sum(v for v in res.per_residue if v > 0)
+
+
+# the bucketed class pass against the term-by-term sum of the closed form
+
+
+def test_per_residue_matches_literal_sum(corpus):
+    rng = random.Random(17)
+    for curve in corpus:
+        m, r, g = curve.m, curve.r, curve.genus
+        for _ in range(30):
+            idx = rng.sample(range(1, r + 1), rng.randint(0, r))
+            coeffs = {j: rng.randint(-2 * g - m, 2 * g + m) for j in idx}
+            if idx:  # a zero and a multiple of m, which step at no class
+                coeffs[idx[0]] = 0
+                coeffs[idx[-1]] = m * rng.randint(-3, 3)
+            a_inf = rng.randint(-2 * g - m, 2 * g + m)
+            assert _per_residue(m, r, coeffs, a_inf) == per_residue_literal(m, r, coeffs, a_inf)
+
+
+large_coprime_curve = st.tuples(st.integers(2, 101), st.integers(2, 120)).filter(
+    lambda mr: gcd(*mr) == 1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(large_coprime_curve, st.data())
+def test_per_residue_matches_literal_sum_random(mr, data):
+    m, r = mr
+    idx = data.draw(st.lists(st.integers(1, r), max_size=r, unique=True))
+    multiple = st.integers(-4, 4).map(lambda k: k * m)
+    coeff = st.one_of(st.just(0), multiple, st.integers(-5 * m, 5 * m))
+    coeffs = {j: data.draw(coeff) for j in idx}
+    a_inf = data.draw(st.one_of(st.just(0), st.integers(-5 * m * r, 5 * m * r)))
+    assert _per_residue(m, r, coeffs, a_inf) == per_residue_literal(m, r, coeffs, a_inf)
 
 
 small_curve = st.sampled_from(
@@ -216,6 +252,21 @@ def test_predicates_validate_places():
         is_pure_gap(C34, (1, 1), (C34.place(1), C34.place(1)))
     with pytest.raises(ValueError):
         in_generalized_semigroup(C34, (1, 1), (C34.place(1), INFINITY))
+    # the default places P_1..P_n need 1 <= n <= r
+    for alpha in ((), (1,) * 5):
+        with pytest.raises(ValueError, match="^can take between 1 and 4 branch places"):
+            is_pure_gap(C34, alpha)
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    [in_generalized_semigroup, is_pure_gap, is_absolute_maximal, is_relative_maximal],
+)
+@pytest.mark.parametrize("alpha", [(1.5, 2), (2, 2.0), ("1", 1), (1, None)])
+def test_predicates_reject_non_integer_entries(predicate, alpha):
+    # floats with an integral value too: a class index must be an int
+    with pytest.raises(TypeError):
+        predicate(C34, alpha)
 
 
 # --- differential checks against literal ell definitions --------------------
@@ -340,8 +391,8 @@ def test_scans_match_ell_brute_force(corpus):
 
 
 def ref_scan(curve, places, test, ranges):
-    m, base = curve.m, _class_base(curve)
-    return [a for a in product(*ranges) if test(_class_dims(m, base, a), len(places))]
+    m, r = curve.m, curve.r
+    return [a for a in product(*ranges) if test(_class_dims(m, r, a), len(places))]
 
 
 def check_window_scans(curve, places, first_min=None, first_max=None):
@@ -490,8 +541,7 @@ def test_box_scan_tests_each_output_once(monkeypatch, m, r, n):
     found = pure_gap_box_scan(curve, n)
     assert len(found) == pure_gap_count(curve, n)
     assert calls == len(found) < comb(2 * curve.genus - 1, n)
-    base = _class_base(curve)
-    assert all(_flat_everywhere(_class_dims(m, base, a), n) for a in found)
+    assert all(_flat_everywhere(_class_dims(m, r, a), n) for a in found)
 
 
 def test_walks_leave_no_cyclic_garbage():
@@ -538,6 +588,54 @@ def test_discrepancy_rejects_equal_places():
     p1 = C34.place(1)
     with pytest.raises(ValueError):
         is_discrepancy(C34, Divisor(), p1, p1)
+    with pytest.raises(ValueError, match="^discrepancy needs two distinct places$"):
+        is_discrepancy(C34, Divisor({INFINITY: 3}), INFINITY, INFINITY)
+
+
+def ref_is_discrepancy(curve, div, p1, p2):
+    # the definition with four full ell evaluations, all made, so each place is checked:
+    # the support first, then p1, then p2
+    one, two = Divisor({p1: 1}), Divisor({p2: 1})
+    a, c, b, d = (ell(curve, x).dim for x in (div, div - one, div - two, div - one - two))
+    return a != b and c == d
+
+
+def test_discrepancy_matches_four_ell_definition(corpus):
+    # P_inf as P_1 or P_2, places in and outside the support, every ordered pair of a pool
+    rng = random.Random(31)
+    seen = {(got, inf): 0 for got in (False, True) for inf in (False, True)}
+    for curve in corpus:
+        g = curve.genus
+        places = list(curve.ramified_places()) + [INFINITY]
+        for _ in range(12):
+            support = rng.sample(places, rng.randint(0, min(4, len(places))))
+            div = Divisor({p: rng.randint(-g - 2, g + 2) for p in support})
+            outside = [p for p in places if p not in support]
+            pool = support + rng.sample(outside, min(2, len(outside)))
+            pool = list(dict.fromkeys(pool + [INFINITY]))
+            for p1, p2 in permutations(pool, 2):
+                got = is_discrepancy(curve, div, p1, p2)
+                assert got is ref_is_discrepancy(curve, div, p1, p2), (curve, div, p1, p2)
+                seen[got, INFINITY in (p1, p2)] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_discrepancy_errors_match_four_ell_definition():
+    off = Place(C59.r + 1)
+    div = divisor_from_tuple((26, 1, 1), C59.ramified_places(3))
+    cases = [
+        (div, off, C59.place(1)),
+        (div, C59.place(1), off),
+        (div, INFINITY, off),
+        (div, off, Place(C59.r + 2)),
+        (div + Divisor({Place(12): 1, off: -2}), C59.place(1), C59.place(2)),
+    ]
+    for d, p1, p2 in cases:
+        with pytest.raises(ValueError) as fast:
+            is_discrepancy(C59, d, p1, p2)
+        with pytest.raises(ValueError) as ref:
+            ref_is_discrepancy(C59, d, p1, p2)
+        assert str(fast.value) == str(ref.value), (d, p1, p2)
 
 
 @pytest.mark.parametrize(
@@ -556,6 +654,32 @@ def test_verify_period(m, r, i, j, expected):
 def test_verify_period_matches_curve_period(corpus):
     for curve in corpus:
         assert verify_period(curve, curve.place(1), curve.place(2)) == curve.period
+
+
+def ref_period(curve, p_i, p_j, bound):
+    # the literal search: the least k with ell(k*P_i - k*P_j) = 1
+    for k in range(1, bound + 1):
+        if ell(curve, Divisor({p_i: k, p_j: -k})).dim == 1:
+            return k
+    return None
+
+
+def test_verify_period_matches_literal_search(corpus):
+    for curve in corpus:
+        bound = 2 * curve.genus + curve.m
+        for p_i, p_j in permutations(curve.ramified_places(), 2):
+            assert verify_period(curve, p_i, p_j) == ref_period(curve, p_i, p_j, bound), (
+                curve, p_i, p_j,
+            )
+    for curve in corpus[::4]:  # short bounds: the search fails exactly when the literal one does
+        p_i, p_j = curve.place(curve.r), curve.place(1)
+        for bound in range(curve.m + 2):
+            want = ref_period(curve, p_i, p_j, bound)
+            if want is None:
+                with pytest.raises(PeriodSearchError):
+                    verify_period(curve, p_i, p_j, bound)
+            else:
+                assert verify_period(curve, p_i, p_j, bound) == want
 
 
 def test_verify_period_validation():
