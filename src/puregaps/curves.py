@@ -36,6 +36,7 @@ class Place(namedtuple("Place", "index")):
     __slots__ = ()
 
     def __new__(cls, index: int):
+        index = operator.index(index)  # refuses 1.5 and "2"; True becomes 1
         if index < 0:
             raise ValueError("place index must be >= 0")
         return super().__new__(cls, index)

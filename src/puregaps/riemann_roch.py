@@ -126,12 +126,6 @@ def _check_places(curve: KummerCurve, places: Sequence[Place] | None, n: int) ->
             raise ValueError(f"{p} is not a branch place of the curve (r={curve.r})")
 
 
-def _class_base(curve: KummerCurve) -> list[int]:
-    """floor(-s*r/m) + 1 for each class s: l_s of the zero divisor."""
-    m, r = curve.m, curve.r
-    return [(-s * r) // m + 1 for s in range(m)]
-
-
 def _class_dims(m: int, r: int, alpha: Sequence[int]) -> dict[int, list[int]]:
     """[l_s(alpha), c_s] for each class s = (-alpha_i) mod m, c_s counting the i in class s.
 
@@ -304,12 +298,11 @@ def verify_period(
 
 
 # ---------------------------------------------------------------------------
-# Oracle sweeps.  These walk boxes with the one-residue tests of the
-# predicates only, so they are independent of every closed form they are used
-# to check.  The walk is depth first with ascending values, so its output is in
-# lexicographic order.  The pure-gap sweep also caps the coordinate sum at
-# 2g - 1, a Riemann-Roch bound that needs no closed form, and prunes on the
-# class table, which needs none either.
+# Oracle sweeps.  They walk boxes with the one-residue tests of the predicates
+# only, so they are independent of every closed form they check.  The walks are
+# depth first with ascending values, so their output is in lexicographic order.
+# The pure-gap sweep also caps the coordinate sum at 2g - 1 (a Riemann-Roch
+# bound) and prunes on the class table; neither needs a closed form.
 # ---------------------------------------------------------------------------
 
 
@@ -324,31 +317,14 @@ def _scan_places(curve: KummerCurve, places: Sequence[Place] | int) -> int:
 
 
 def _scan(
-    curve: KummerCurve,
-    test,
-    ranges: Sequence[range],
-    cap: int | None = None,
-    prune: bool = False,
+    curve: KummerCurve, test, ranges: Sequence[range], cap: int | None = None
 ) -> list[tuple[int, ...]]:
     """The tuples of ranges[0] x ... x ranges[-1] with sum at most cap that pass test, in lex order.
 
     Each node of the walk carries the prefix class table
-    L[s] = base[s] + sum_{j<d} (a_j + s)//m, and l_s(alpha) is L[s] plus the
+    L[s] = l_s(0) + sum_{j<d} (a_j + s)//m, and l_s(alpha) is L[s] plus the
     last term, so a leaf builds the [l_s, c_s] table of _class_dims in O(n)
     instead of O(n^2).
-
-    prune is for a test that passes only tuples with l_{s_i} <= 0 for every
-    coordinate's class s_i, as the pure-gap test does.  Each l_s never falls
-    as a coordinate rises, so once L[s] plus the least the later coordinates
-    can add to class s exceeds 0, no completion passes.  For a class s of the
-    prefix, with least[d][s] the least the coordinates after depth d add to
-    it, the first value a at depth d that lifts it past 0 solves
-    (a + s)//m > -(L[s] + least[d][s]), which is a = m*(1 - L[s] - least[d][s]) - s;
-    every larger value fails too.  So each node computes one stop value, the
-    least of these, the range end and the sum cap, and below it checks only
-    the value's own class, in O(1).  Only values that pass get a child row or
-    a leaf class table, and every leaf that reaches the test has all its
-    classes at most 0, so the pure-gap test runs once per tuple it returns.
     """
     m, n, last = curve.m, len(ranges), len(ranges) - 1
     # the least sum the coordinates after depth d can add
@@ -376,75 +352,72 @@ def _scan(
             if test(dims, n):
                 out.append(alpha)
 
-    def pruned(prefix: tuple[int, ...], table: list[int], total: int, fixed: tuple[int, ...]) -> None:
+    walk((), _per_residue(m, curve.r, {}, 0), 0)
+    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
+    return out
+
+
+def pure_gap_box_scan(
+    curve: KummerCurve, places: Sequence[Place] | int, box_max: int | None = None
+) -> list[tuple[int, ...]]:
+    """All pure gaps inside [1, box_max]^n, by a pruned oracle walk over the box.
+
+    ``places`` is either the place tuple or just n (meaning P_1..P_n).  Only
+    tuples with coordinate sum at most 2g - 1 are walked: at sum 2g or more,
+    deg(D_alpha - Q_i) >= 2g - 1, so Riemann-Roch gives ell(D_alpha - Q_i) =
+    ell(D_alpha) - 1 and alpha is no pure gap.  The default box edge 2g thus
+    covers every pure gap.
+
+    Inside that simplex the walk prunes on the classes alone.  A pure gap
+    needs l_{s_i} <= 0 for each coordinate's class s_i, and l_s never falls
+    as a coordinate rises.  A later coordinate, at least 1, adds at least
+    (1 + s)//m = [s = m - 1] to class s, so with `rest` of them to come l_s
+    ends at least at least[s] = L[s] + rest*[s = m - 1] (L: the prefix table
+    of _scan).  The walk carries least in place of L; they agree at a leaf.
+    Once least[s] > 0 for a class s of the prefix, no completion passes; the
+    first value to get there is a = m*(1 - least[s]) - s.  Each node stops at
+    the least of these, the box edge and the sum cap, and below it checks
+    only the value's own class, in O(1).  So the test runs once per pure gap,
+    not on all C(2g - 1, n) tuples of the simplex: 118 210 tests at
+    (m, r, n) = (7, 12, 5), not C(65, 5) = 8 259 888.
+    """
+    n = _scan_places(curve, places)
+    if box_max is None:
+        box_max = 2 * curve.genus
+    m, last, top, test = curve.m, n - 1, curve.m - 1, _flat_everywhere
+    out: list[tuple[int, ...]] = []
+
+    def walk(prefix: tuple[int, ...], least: list[int], room: int, fixed: tuple[int, ...]) -> None:
+        # room: the values below it keep the sum within 2g - 1 with the later coordinates at 1;
         # fixed: the classes of the prefix, each still able to end at most 0
-        d = len(prefix)
-        low = least[d]
-        stop = ranges[d].stop
-        if cap is not None:
-            stop = min(stop, cap - total - floor[d] + 1)
+        stop = min(box_max + 1, room)
         for s in fixed:  # the first value that lifts class s past 0
-            stop = min(stop, m * (1 - table[s] - low[s]) - s)
-        if d < last:
-            for a in range(ranges[d].start, stop):
-                s = -a % m
-                if table[s] + (a + s) // m + low[s] > 0:
-                    continue
-                row = [t + (a + q) // m for q, t in enumerate(table)]
-                pruned(prefix + (a,), row, total + a, fixed if s in fixed else fixed + (s,))
-            return
-        for a in range(ranges[d].start, stop):
+            stop = min(stop, m * (1 - least[s]) - s)
+        for a in range(1, stop):
             s = -a % m
-            if table[s] + (a + s) // m > 0:
+            if least[s] + (a + s) // m > 0:
                 continue
             alpha = prefix + (a,)
+            if len(alpha) <= last:
+                row = [t + (a + q) // m for q, t in enumerate(least)]
+                row[top] -= 1  # one coordinate fewer to come
+                walk(alpha, row, room - a + 1, fixed if s in fixed else fixed + (s,))
+                continue
             dims: dict[int, list[int]] = {}
             for b in alpha:
                 s = -b % m
                 if s in dims:
                     dims[s][1] += 1
                 else:
-                    dims[s] = [table[s] + (a + s) // m, 1]
+                    dims[s] = [least[s] + (a + s) // m, 1]
             if test(dims, n):
                 out.append(alpha)
 
-    if prune:
-        # least[d][s]: the least the coordinates after depth d can add to class s
-        least = [[sum((rng.start + s) // m for rng in ranges[d + 1:]) for s in range(m)]
-                 for d in range(last + 1)]
-        pruned((), _class_base(curve), 0, ())
-    else:
-        walk((), _class_base(curve), 0)
-    del walk, pruned  # closures that call themselves are cycles; unbinding frees them at once
+    root = _per_residue(m, curve.r, {}, 0)
+    root[top] += last
+    walk((), root, 2 * curve.genus - last, ())
+    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
     return out
-
-
-def pure_gap_box_scan(
-    curve: KummerCurve,
-    places: Sequence[Place] | int,
-    box_max: int | None = None,
-) -> list[tuple[int, ...]]:
-    """All pure gaps inside [1, box_max]^n, by the pruned oracle walk over the box.
-
-    ``places`` is either the place tuple or just n (meaning P_1..P_n).  Only
-    tuples with coordinate sum at most 2g - 1 are walked: at sum 2g or more,
-    deg(D_alpha - Q_i) >= 2g - 1, so Riemann-Roch gives ell(D_alpha - Q_i) =
-    ell(D_alpha) - 1 and alpha is no pure gap.  The default box edge 2g thus
-    covers every pure gap.  Inside that simplex the walk prunes on the classes
-    alone (see _scan): a pure gap needs l_{s_i} <= 0 for each coordinate's
-    class, each l_s is non-decreasing in every coordinate, and every later
-    coordinate is at least 1, so at a prefix with `rest` coordinates to come a
-    fixed class s is dead once L[s] + rest*[s = m - 1] > 0.  Each node solves
-    for the first value that kills a fixed class and stops there, so the test
-    runs once per pure gap, not on the C(2g - 1, n) tuples of the simplex:
-    118 210 tests at (m, r, n) = (7, 12, 5), where C(65, 5) = 8 259 888.
-    """
-    n = _scan_places(curve, places)
-    if box_max is None:
-        box_max = 2 * curve.genus
-    return _scan(
-        curve, _flat_everywhere, [range(1, box_max + 1)] * n, cap=2 * curve.genus - 1, prune=True
-    )
 
 
 def _window_scan(

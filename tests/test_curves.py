@@ -198,8 +198,13 @@ def test_divisor_arithmetic_matches_validating_constructor(a, b):
 
 
 def test_place_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^place index must be >= 0$"):
         Place(-1)
+    for index in (1.5, "2"):
+        with pytest.raises(TypeError):
+            Place(index)
+    one = Place(True)
+    assert one == Place(1) and type(one.index) is int and repr(one) == "P_1"
     assert INFINITY.is_infinity and not Place(3).is_infinity
     c = KummerCurve(3, 4)
     with pytest.raises(ValueError):

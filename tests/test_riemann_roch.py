@@ -94,6 +94,9 @@ def test_per_residue_matches_literal_sum(corpus):
     rng = random.Random(17)
     for curve in corpus:
         m, r, g = curve.m, curve.r, curve.genus
+        # the zero divisor: the class table both oracle walks start from
+        zero = _per_residue(m, r, {}, 0)
+        assert zero == per_residue_literal(m, r, {}, 0) == [(-s * r) // m + 1 for s in range(m)]
         for _ in range(30):
             idx = rng.sample(range(1, r + 1), rng.randint(0, r))
             coeffs = {j: rng.randint(-2 * g - m, 2 * g + m) for j in idx}
