@@ -137,6 +137,8 @@ def hermitian_subcover_points(q: int, m: int) -> int:
 
 def norm_trace_like_points(q: int, t: int, m: int) -> int:
     """Rational points of y^m = (x^(q^(t/2)) - x)^(q^(t/2) - 1) over the field with q^t elements."""
+    if m < 2 or q < 2:
+        raise ValueError("need q >= 2 and m >= 2")
     if t < 2 or t % 2 != 0:
         raise ValueError(f"t must be a positive even integer, got {t}")
     if (q**t - 1) % m != 0:

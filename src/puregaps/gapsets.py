@@ -33,13 +33,15 @@ same list for every prefix of that class: 1-tuples for the tuple stream,
 rendered strings for the CLI.  Over the benchmark's stream pool there are
 about eleven prefixes per distinct block.
 
-A box [1, box_max]^n clips those intervals on every axis.  Since t = 1
-completes every kept prefix, the capped walk still has no dead branch, and
-its work follows the pure gaps in the box, not those of the whole curve.
+The box rule: under a box [1, box_max]^n, a prefix's ranges end at the first
+cell that starts past box_max, and the last one is clipped to box_max.  As
+t = 1 completes every kept prefix, a walk with box_max >= 1 has no dead branch
+(box_max < 1 has no branch), and its work follows the pure gaps in the box.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from itertools import chain, permutations, product
 from math import comb
@@ -84,6 +86,7 @@ def max_level(curve: KummerCurve, n: int) -> int:
 def b_k(curve: KummerCurve, n: int, k: int) -> BkBox:
     """The offset box at level k, with bounds m - ceil(m*(k+j)/r) for j = 1..n."""
     _require_places(curve, n)
+    k = operator.index(k)
     if k < 0:
         raise ValueError(f"level must be nonnegative, got {k}")
     return BkBox(level=k, bounds=tuple(_box_bounds(curve, k, n)), empty=k > max_level(curve, n))
@@ -111,10 +114,9 @@ def pure_gaps(curve: KummerCurve, n: int, box_max: int | None = None) -> Iterato
 
     The blocks of pure_gap_blocks with 1-tuple leaves, each appended to its
     prefix.  A block is shared by every prefix with the same sorted residues
-    and level (see the module docstring), so the walk keeps one list per such
-    pair and no heap.  With box_max, only the pure gaps in [1, box_max]^n
-    come out, and the walk visits no prefix outside that box.  n is checked
-    on the call.
+    and level, so the walk keeps one list per such pair and no heap.  With
+    box_max, only the pure gaps in [1, box_max]^n come out, by the box rule
+    of the module docstring.  n is checked on the call.
     """
     blocks = pure_gap_blocks(curve, n, lambda t: (t,), box_max)
     return chain.from_iterable(map(prefix.__add__, block) for prefix, block in blocks)
@@ -126,11 +128,10 @@ def pure_gap_blocks(
     """The pure-gap stream in blocks: (prefix, [leaf(t) for every t completing prefix]).
 
     One pair per (n-1)-prefix, in lexicographic order, with t ascending in
-    each block.  With box_max, every coordinate stays at most box_max; since
-    t = 1 completes every kept prefix (see the module docstring), blocks are
-    never empty for box_max >= 1, and box_max < 1 yields no block at all.  A
-    block list is shared by every prefix of the same sorted residues and
-    level, so callers must not mutate it.  n is checked on the call.
+    each block.  With box_max, every coordinate stays at most box_max, by the
+    box rule of the module docstring.  A block list is shared by every prefix
+    of the same sorted residues and level, so callers must not mutate it.  n
+    is checked on the call.
     """
     _require_places(curve, n)
     return _BlockWalk(curve.m, n, _level_bounds(curve, n), leaf, box_max).walk((), (), 0)
@@ -159,13 +160,7 @@ class _BlockWalk:
         box_max: int | None,
     ):
         self.m, self.n, self.bounds = m, n, bounds
-        # every coordinate lies below stop, the end of the top level's cell or
-        # the box, so it lies in one of the first `cells` cells; a coordinate
-        # c*m + u added at level k has c < reach[k] = min(levels - k, cells)
-        levels = len(bounds)
-        self.stop = levels * m if box_max is None else min(levels * m, box_max + 1)
-        cells = max((self.stop - 2) // m + 1, 0)
-        self.reach = [cells] * max(levels - cells, 0) + list(range(min(levels, cells), -1, -1))
+        self.stop = len(bounds) * m if box_max is None else min(len(bounds) * m, box_max + 1)
         self.leaves = [leaf(t) for t in range(self.stop)]
         self.memo: dict[tuple[TupleZ, int], list[tuple[int, int]]] = {}
         self.blocks: dict[tuple[TupleZ, int], list] = {}
@@ -177,44 +172,38 @@ class _BlockWalk:
         So at bounds b the prefix takes u exactly when every d_i <= b_i, and
         u <= b_0, and u <= b_i wherever d_{i-1} > b_i; the bounds do not grow
         with i, so the last such b_i is the least.  Once the prefix itself
-        fails, every higher level fails too.  The ranges rise with c, so the
-        box ends them at the first c with c*m + 1 >= stop, and only the range
-        of the box's last cell can cross stop.  The cap is the same for the
-        whole walk, so it needs no place in the memo key.
+        fails, every higher level fails too.  The box rule of the module
+        docstring is the loop's range: the cells c*m + 1 that start below
+        stop, paired with the levels k + c up to the top one, each range
+        clipped to stop.  So no range is empty or past the box.  The cap is
+        the same for the whole walk, so it needs no place in the memo key.
         """
         found = self.memo.get((residues, k))
         if found is None:
             found = self.memo[residues, k] = []
-            m, bounds = self.m, self.bounds
-            for c in range(self.reach[k]):
-                b = bounds[k + c]
+            stop = self.stop
+            for lo, b in zip(range(1, stop, self.m), self.bounds[k:]):
                 u_max = b[0]
                 for d, bi, b_next in zip(residues, b, b[1:]):
                     if d > bi:
                         return found
                     if d > b_next:
                         u_max = b_next
-                found.append((c * m + 1, c * m + u_max + 1))
-            if found and found[-1][1] > self.stop:
-                found[-1] = (found[-1][0], self.stop)
+                hi = lo + u_max
+                found.append((lo, hi if hi < stop else stop))
         return found
 
     def walk(self, prefix: TupleZ, residues: TupleZ, k: int) -> Iterator[tuple[TupleZ, list]]:
-        """The blocks under one prefix, with one generator per (n-2)-prefix."""
-        m = self.m
-        if len(prefix) < self.n - 2:
-            for lo, hi in self.extensions(residues, k):
-                c = lo // m
-                for t in range(lo, hi):
-                    child = tuple(sorted(residues + (t - c * m,), reverse=True))
-                    yield from self.walk(prefix + (t,), child, k + c)
-            return
-        # the children are (n-1)-prefixes: yield their blocks
-        blocks, leaves = self.blocks, self.leaves
+        """The blocks under one prefix: recurse to the (n-1)-prefixes, then yield their blocks."""
+        m, inner, blocks, leaves = self.m, len(prefix) < self.n - 2, self.blocks, self.leaves
         for lo, hi in self.extensions(residues, k):
             c = lo // m
             for t in range(lo, hi):
-                key = (tuple(sorted(residues + (t - c * m,), reverse=True)), k + c)
+                child = tuple(sorted(residues + (t - c * m,), reverse=True))
+                if inner:
+                    yield from self.walk(prefix + (t,), child, k + c)
+                    continue
+                key = (child, k + c)
                 block = blocks.get(key)
                 if block is None:
                     block = blocks[key] = [x for a, b in self.extensions(*key) for x in leaves[a:b]]
@@ -228,7 +217,7 @@ def union_count(bounds: Sequence[int]) -> int:
     calls can receive non-monotone arguments); counting semantics hold for
     non-increasing positive bounds.
     """
-    a = tuple(int(x) for x in bounds)
+    a = tuple(map(operator.index, bounds))
     n = len(a)
     if n == 0:
         raise ValueError("need at least one bound")

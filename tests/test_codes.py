@@ -199,6 +199,10 @@ def test_norm_trace_like_points():
         norm_trace_like_points(2, 6, 4)  # 4 does not divide 63
     with pytest.raises(ValueError):
         norm_trace_like_points(2, 6, 7)  # shares a factor with q^(t/2) - 1
+    # q and m are checked first, with the message of hermitian_subcover_points
+    for q, t, m in [(-1, 2, 3), (0, 2, 1), (1, 2, 3), (2, 6, 1), (3, 4, 0)]:
+        with pytest.raises(ValueError, match="need q >= 2 and m >= 2"):
+            norm_trace_like_points(q, t, m)
 
 
 # --- table reproduction --------------------------------------------------------

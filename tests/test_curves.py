@@ -124,6 +124,7 @@ def test_divisor_algebra():
     assert (3 * d).degree == 3
     assert d[p1] == 2 and d[INFINITY] == 0
     assert d.support == (p1, p2)
+    assert list(d) == d.items() == [(p1, 2), (p2, -1)]
     assert hash(d) == hash(Divisor({p2: -1, p1: 2}))
     assert repr(Divisor()) == "0"
     assert repr(Divisor({p1: 1, p2: -3, INFINITY: 2})) == "2*P_inf + P_1 - 3*P_2"

@@ -51,9 +51,11 @@ def test_b_k_bounds_non_increasing(corpus):
         for n in range(2, curve.r + 1):
             top = max_level(curve, n)
             for k in range(top + 1):
-                bounds = b_k(curve, n, k).bounds
+                box = b_k(curve, n, k)
+                bounds = box.bounds
                 assert all(bounds[i] >= bounds[i + 1] for i in range(n - 1))
                 assert bounds[-1] >= 1
+                assert box.size == len(list(box.tuples()))
             for k in range(max(top + 1, 0), top + 4):
                 box = b_k(curve, n, k)
                 assert box.empty and box.size == 0 and list(box.tuples()) == []
@@ -67,6 +69,9 @@ def test_b_k_validation():
         b_k(C59, 10, 0)
     with pytest.raises(ValueError):
         b_k(C59, 3, -1)
+    for k in (1.5, 2.0, "3", None):
+        with pytest.raises(TypeError):
+            b_k(C59, 3, k)  # no float bounds, no parsed level
 
 
 def test_g_k_zero():
@@ -216,6 +221,14 @@ def test_union_count_base_cases():
     assert union_count((2, 1)) == 3
     assert union_count((4, 3, 3)) == 54
     assert union_count((5, 4, 3)) == 108  # consecutive: 3 * 6^2
+    assert union_count((True, 1)) == 1
+
+
+@pytest.mark.parametrize("bounds", [(2.5, 1.9), (3.0, 2), ("3", "2")])
+def test_union_count_rejects_non_integer_bounds(bounds):
+    # no truncation to (2, 1) and no parsing to (3, 2)
+    with pytest.raises(TypeError):
+        union_count(bounds)
 
 
 def test_union_count_bruteforce():
