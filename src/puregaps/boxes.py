@@ -15,8 +15,10 @@ assumes Kummer closed forms.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .curves import _checked_make
@@ -78,7 +80,7 @@ class MaximalFamily(namedtuple("MaximalFamily", "period n box0", defaults=(None,
                 if any(not 0 <= c < period for c in e[1:]):
                     raise ValueError(f"element {e} leaves [0, {period}) on a trailing axis")
             normalized[k] = tuple(items)
-        return super().__new__(cls, period, n, normalized)
+        return super().__new__(cls, period, n, MappingProxyType(normalized))
 
     _make = classmethod(_checked_make)
 
@@ -163,6 +165,7 @@ def pure_gaps_from_relative_maximals(
             raise ValueError(f"element {e} does not have dimension {n}")
     if box_max is None:
         box_max = max(map(max, elems), default=0)  # no glb coordinate lies above it
+    box_max = operator.index(box_max)
     out: list[TupleZ] = []
 
     def walk(prefix: TupleZ, pool: list[TupleZ], witnesses: list[list[TupleZ]]) -> None:

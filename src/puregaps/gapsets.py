@@ -80,7 +80,7 @@ class BkBox(namedtuple("BkBox", "level bounds empty")):
 
 def max_level(curve: KummerCurve, n: int) -> int:
     """Largest level whose cells contain pure gaps; negative means none at all."""
-    return curve.r - n - 1 - curve.r // curve.m
+    return curve.r - operator.index(n) - 1 - curve.r // curve.m
 
 
 def b_k(curve: KummerCurve, n: int, k: int) -> BkBox:
@@ -253,7 +253,7 @@ def pure_gap_count_multiple_plus_one(curve: KummerCurve, n: int, u: int) -> int:
 
     The ceilings collapse, leaving u^n * sum_k C(k+n-1, n-1) (r-k-n) (r-k)^(n-1).
     """
-    m, r = curve.m, curve.r
+    m, r, n, u = curve.m, curve.r, operator.index(n), operator.index(u)
     if u < 1:
         raise ValueError(f"u must be positive, got {u}")
     if m != u * r + 1:

@@ -9,6 +9,7 @@ Riemann-Roch oracle verifies them independently in the tests.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 from .boxes import MaximalFamily, TupleZ, compositions
@@ -124,6 +125,7 @@ def lambda_star(curve: KummerCurve, n: int) -> list[TupleZ]:
     Same shape as gamma_star but with composition total r - 2 - floor(r*i/m),
     which is nonnegative throughout the residue range.
     """
+    n = operator.index(n)
     _require_window(curve, n, "the positive relative maximal set")
     return _star(curve, n, curve.r - 2)
 

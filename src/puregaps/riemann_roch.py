@@ -131,7 +131,7 @@ def _class_dims(m: int, r: int, alpha: Sequence[int]) -> dict[int, list[int]]:
 
     These are the only classes that lowering coordinates of alpha can change;
     see the module docstring.  The scans build the same table from a prefix
-    table instead (see _scan).
+    table instead (see _window_scan).
     """
     dims: dict[int, list[int]] = {}
     for a in alpha:
@@ -298,11 +298,11 @@ def verify_period(
 
 
 # ---------------------------------------------------------------------------
-# Oracle sweeps.  They walk boxes with the one-residue tests of the predicates
-# only, so they are independent of every closed form they check.  The walks are
-# depth first with ascending values, so their output is in lexicographic order.
-# The pure-gap sweep also caps the coordinate sum at 2g - 1 (a Riemann-Roch
-# bound) and prunes on the class table; neither needs a closed form.
+# Oracle sweeps.  They decide membership from the classes l_s alone, so they
+# are independent of every closed form they check.  The walks are depth first
+# with ascending values, so their output is in lexicographic order.  The window
+# scans test each leaf; the pure-gap sweep caps the coordinate sum at 2g - 1 (a
+# Riemann-Roch bound) and decides the classes as it goes (see pure_gap_box_scan).
 # ---------------------------------------------------------------------------
 
 
@@ -314,47 +314,6 @@ def _scan_places(curve: KummerCurve, places: Sequence[Place] | int) -> int:
         raise ValueError("a scan needs at least one place")
     _check_places(curve, places, len(places))
     return len(places)
-
-
-def _scan(
-    curve: KummerCurve, test, ranges: Sequence[range], cap: int | None = None
-) -> list[tuple[int, ...]]:
-    """The tuples of ranges[0] x ... x ranges[-1] with sum at most cap that pass test, in lex order.
-
-    Each node of the walk carries the prefix class table
-    L[s] = l_s(0) + sum_{j<d} (a_j + s)//m, and l_s(alpha) is L[s] plus the
-    last term, so a leaf builds the [l_s, c_s] table of _class_dims in O(n)
-    instead of O(n^2).
-    """
-    m, n, last = curve.m, len(ranges), len(ranges) - 1
-    # the least sum the coordinates after depth d can add
-    floor = [sum(rng.start for rng in ranges[d + 1:]) for d in range(last + 1)]
-    out: list[tuple[int, ...]] = []
-
-    def walk(prefix: tuple[int, ...], table: list[int], total: int) -> None:
-        d = len(prefix)
-        values = ranges[d]
-        if cap is not None:
-            values = range(values.start, min(values.stop, cap - total - floor[d] + 1))
-        if d < last:
-            for a in values:
-                walk(prefix + (a,), [t + (a + s) // m for s, t in enumerate(table)], total + a)
-            return
-        for a in values:
-            alpha = prefix + (a,)
-            dims: dict[int, list[int]] = {}
-            for b in alpha:
-                s = -b % m
-                if s in dims:
-                    dims[s][1] += 1
-                else:
-                    dims[s] = [table[s] + (a + s) // m, 1]
-            if test(dims, n):
-                out.append(alpha)
-
-    walk((), _per_residue(m, curve.r, {}, 0), 0)
-    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
-    return out
 
 
 def pure_gap_box_scan(
@@ -373,18 +332,20 @@ def pure_gap_box_scan(
     as a coordinate rises.  A later coordinate, at least 1, adds at least
     (1 + s)//m = [s = m - 1] to class s, so with `rest` of them to come l_s
     ends at least at least[s] = L[s] + rest*[s = m - 1] (L: the prefix table
-    of _scan).  The walk carries least in place of L; they agree at a leaf.
-    Once least[s] > 0 for a class s of the prefix, no completion passes; the
-    first value to get there is a = m*(1 - least[s]) - s.  Each node stops at
-    the least of these, the box edge and the sum cap, and below it checks
-    only the value's own class, in O(1).  So the test runs once per pure gap,
-    not on all C(2g - 1, n) tuples of the simplex: 118 210 tests at
-    (m, r, n) = (7, 12, 5), not C(65, 5) = 8 259 888.
+    of _window_scan).  The walk carries least in place of L.  Once least[s] > 0
+    for a class s of the prefix, no completion passes; the first value to get
+    there is a = m*(1 - least[s]) - s.  Each node stops at the least of these,
+    the box edge and the sum cap, and below it checks only the value's own
+    class, in O(1).  At a leaf rest = 0 and least is L, so a value that passes
+    its own class leaves every class at most 0: the walk appends the tuple as
+    a pure gap, with no class table and no test.  The work is per pure gap and
+    prefix, not per tuple of the simplex: 118 210 pure gaps at (m, r, n) =
+    (7, 12, 5), against C(65, 5) = 8 259 888 tuples.
     """
     n = _scan_places(curve, places)
     if box_max is None:
         box_max = 2 * curve.genus
-    m, last, top, test = curve.m, n - 1, curve.m - 1, _flat_everywhere
+    m, last, top = curve.m, n - 1, curve.m - 1
     out: list[tuple[int, ...]] = []
 
     def walk(prefix: tuple[int, ...], least: list[int], room: int, fixed: tuple[int, ...]) -> None:
@@ -393,25 +354,17 @@ def pure_gap_box_scan(
         stop = min(box_max + 1, room)
         for s in fixed:  # the first value that lifts class s past 0
             stop = min(stop, m * (1 - least[s]) - s)
+        leaf = len(prefix) == last
         for a in range(1, stop):
             s = -a % m
             if least[s] + (a + s) // m > 0:
                 continue
-            alpha = prefix + (a,)
-            if len(alpha) <= last:
-                row = [t + (a + q) // m for q, t in enumerate(least)]
-                row[top] -= 1  # one coordinate fewer to come
-                walk(alpha, row, room - a + 1, fixed if s in fixed else fixed + (s,))
+            if leaf:
+                out.append(prefix + (a,))
                 continue
-            dims: dict[int, list[int]] = {}
-            for b in alpha:
-                s = -b % m
-                if s in dims:
-                    dims[s][1] += 1
-                else:
-                    dims[s] = [least[s] + (a + s) // m, 1]
-            if test(dims, n):
-                out.append(alpha)
+            row = [t + (a + q) // m for q, t in enumerate(least)]
+            row[top] -= 1  # one coordinate fewer to come
+            walk(prefix + (a,), row, room - a + 1, fixed if s in fixed else fixed + (s,))
 
     root = _per_residue(m, curve.r, {}, 0)
     root[top] += last
@@ -427,12 +380,43 @@ def _window_scan(
     first_min: int | None,
     first_max: int | None,
 ) -> list[tuple[int, ...]]:
+    """The tuples of [first_min, first_max] x [0, m)^(n - 1) that pass test, in lex order.
+
+    Each node of the walk carries the prefix class table
+    L[s] = l_s(0) + sum_{j<d} (a_j + s)//m, and l_s(alpha) is L[s] plus the
+    last term, so a leaf builds the [l_s, c_s] table of _class_dims in O(n)
+    instead of O(n^2).
+    """
     n, m = _scan_places(curve, places), curve.m
     if first_min is None:
         first_min = -(n - 1) * (m - 1)  # deg >= 0 forces this much at the first place
     if first_max is None:
         first_max = 2 * curve.genus
-    return _scan(curve, test, [range(first_min, first_max + 1)] + [range(m)] * (n - 1))
+    ranges = [range(first_min, first_max + 1)] + [range(m)] * (n - 1)
+    last = n - 1
+    out: list[tuple[int, ...]] = []
+
+    def walk(prefix: tuple[int, ...], table: list[int]) -> None:
+        d = len(prefix)
+        if d < last:
+            for a in ranges[d]:
+                walk(prefix + (a,), [t + (a + s) // m for s, t in enumerate(table)])
+            return
+        for a in ranges[last]:
+            alpha = prefix + (a,)
+            dims: dict[int, list[int]] = {}
+            for b in alpha:
+                s = -b % m
+                if s in dims:
+                    dims[s][1] += 1
+                else:
+                    dims[s] = [table[s] + (a + s) // m, 1]
+            if test(dims, n):
+                out.append(alpha)
+
+    walk((), _per_residue(m, curve.r, {}, 0))
+    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
+    return out
 
 
 def absolute_maximals_window_scan(

@@ -79,6 +79,9 @@ def test_family_validation():
     assert fam.box(1) == ((6, 1),)
     assert fam.levels == (1,) and fam.max_level == 1
     assert fam.box(2) == () and fam.box(99) == ()
+    with pytest.raises(TypeError):
+        fam.box0[7] = ((36, 1),)  # the level map is read-only, as the record is
+    assert fam.levels == (1,)
 
 
 def test_relative_family_boxes():
@@ -165,6 +168,10 @@ def test_pure_gaps_from_relative_maximals():
     # the box caps every axis
     assert pure_gaps_from_relative_maximals([(4, 1), (1, 4), (2, 2)], 2, 1) == [(1, 1)]
     assert pure_gaps_from_relative_maximals([(4, 1), (1, 4), (2, 2)], 2, 0) == []
+    assert pure_gaps_from_relative_maximals([(4, 1), (1, 4), (2, 2)], 2, True) == [(1, 1)]
+    for box in (2.5, "2"):
+        with pytest.raises(TypeError):
+            pure_gaps_from_relative_maximals([(4, 1), (1, 4), (2, 2)], 2, box)  # as the other routes
 
 
 

@@ -72,6 +72,9 @@ def test_b_k_validation():
     for k in (1.5, 2.0, "3", None):
         with pytest.raises(TypeError):
             b_k(C59, 3, k)  # no float bounds, no parsed level
+        with pytest.raises(TypeError):
+            max_level(C59, k)  # 2.0 would give the float 6.0
+    assert max_level(C59, True) == max_level(C59, 1)
 
 
 def test_g_k_zero():
@@ -302,6 +305,11 @@ def test_multiple_plus_one_count():
         pure_gap_count_multiple_plus_one(C59, 3, 1)  # 5 != 9u + 1
     with pytest.raises(ValueError):
         pure_gap_count_multiple_plus_one(c54, 2, 0)
+    # u and n are integers: u = 1.0 would turn the count into the float 14.0
+    for n, u in ((2, 1.0), (2.0, 1), (2, "1")):
+        with pytest.raises(TypeError):
+            pure_gap_count_multiple_plus_one(c54, n, u)
+    assert pure_gap_count_multiple_plus_one(c54, 2, True) == 14
 
 
 def test_permutation_closure_of_pure_gaps(corpus):

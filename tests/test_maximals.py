@@ -105,6 +105,9 @@ def test_lambda_star():
     assert lambda_star(C34, 2) == gamma_star(C34, 2)
     assert len(lambda_star(C59, 3)) == 50
     assert len(lambda_star(C59, 3)) == sum(comb(k + 2, 2) for k in (6, 4, 2, 0))
+    for n in (3.0, "3"):
+        with pytest.raises(TypeError):
+            lambda_star(C59, n)  # as gamma_star does, not 50 elements for 3.0
 
 
 def test_lambda_star_smallest_curve():

@@ -1,6 +1,6 @@
 import gc
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, gcd
 
 import pytest
@@ -35,7 +35,7 @@ from puregaps.riemann_roch import (
     _flat_everywhere,
     _per_residue,
     _relative,
-    _scan,
+    _window_scan,
     absolute_maximals_window_scan,
     pure_gap_box_scan,
     relative_maximals_window_scan,
@@ -419,17 +419,14 @@ def check_box_scan(curve, places, boxes):
         assert pure_gap_box_scan(curve, places, box_max=box) == want, (curve, places, box)
 
 
-def test_scan_walks_exactly_the_capped_box():
-    # with a test that passes everything, the walk returns the box part under the cap
-    boxes = (
-        [range(1, 7)] * 3,
-        [range(-4, 3), range(0, 5), range(2, 4)],
-        [range(1, 4), range(0), range(1, 4)],
-    )
-    for ranges in boxes:
-        for cap in (None, -3, 0, 3, 7, 30):
-            want = [a for a in product(*ranges) if cap is None or sum(a) <= cap]
-            assert _scan(C59, lambda dims, n: True, ranges, cap) == want, (ranges, cap)
+def test_window_scan_walks_exactly_the_window():
+    # with a test that passes everything, the walk returns the whole window in lex order
+    def everything(dims, n):
+        return True
+
+    for n, lo, hi in ((3, -4, 2), (3, 1, 6), (3, 4, 3), (1, -2, 5), (1, 2, 1), (2, 0, 0)):
+        want = list(product(range(lo, hi + 1), *[range(C59.m)] * (n - 1)))
+        assert _window_scan(C59, n, everything, lo, hi) == want, (n, lo, hi)
 
 
 @pytest.mark.parametrize(
@@ -490,13 +487,18 @@ def test_scans_match_full_box_scan_random(mr, data):
     check_window_scans(curve, places, lo, hi)
 
 
-# --- the pruned pure-gap walk against the unpruned one ------------------------
+# --- the pruned pure-gap walk against the literal simplex ---------------------
 
 
 def unpruned_box_scan(curve, places):
-    # the walk the prune replaced: every tuple of the 2g box under the 2g - 1 cap
-    g = curve.genus
-    return _scan(curve, _flat_everywhere, [range(1, 2 * g + 1)] * len(places), 2 * g - 1)
+    # every tuple of positive coordinates with sum at most 2g - 1, tested one by one: the
+    # cut points 0 < c_1 < ... < c_n <= 2g - 1 give alpha_i = c_i - c_{i-1}, in lex order
+    m, r, n, top = curve.m, curve.r, len(places), 2 * curve.genus - 1
+    simplex = (
+        tuple(b - a for a, b in zip((0,) + cuts, cuts))
+        for cuts in combinations(range(1, top + 1), n)
+    )
+    return [a for a in simplex if _flat_everywhere(_class_dims(m, r, a), n)]
 
 
 def test_pruned_box_scan_matches_unpruned_walk(corpus):
@@ -530,8 +532,8 @@ def test_pruned_box_scan_matches_full_scans_to_genus_40(mr, data):
 
 @pytest.mark.parametrize("m,r,n", [(5, 13, 4), (5, 13, 5), (7, 23, 3)])
 def test_box_scan_tests_each_output_once(monkeypatch, m, r, n):
-    # the stop-bound walk runs the pure-gap test once per pure gap, where
-    # the unpruned walk tests all C(2g - 1, n) of the simplex
+    # the stop-bound walk decides each class as it fixes a coordinate, so it
+    # runs no pure-gap test, where the unpruned walk tests all C(2g - 1, n) of the simplex
     calls = 0
 
     def counting(dims, k):
@@ -543,7 +545,7 @@ def test_box_scan_tests_each_output_once(monkeypatch, m, r, n):
     curve = KummerCurve(m, r)
     found = pure_gap_box_scan(curve, n)
     assert len(found) == pure_gap_count(curve, n)
-    assert calls == len(found) < comb(2 * curve.genus - 1, n)
+    assert calls == 0 and len(found) < comb(2 * curve.genus - 1, n)
     assert all(_flat_everywhere(_class_dims(m, r, a), n) for a in found)
 
 
