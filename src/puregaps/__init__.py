@@ -14,6 +14,7 @@ from .boxes import (
     compositions,
     family_cardinality,
     glb,
+    pure_gaps_from_family,
     pure_gaps_from_relative_maximals,
     translate_box,
 )
@@ -118,6 +119,7 @@ __all__ = [
     "pure_gap_count_multiple_plus_one",
     "pure_gap_count_two_places",
     "pure_gaps",
+    "pure_gaps_from_family",
     "pure_gaps_from_relative_maximals",
     "relative_family",
     "relative_maximals_window_scan",

@@ -11,12 +11,26 @@ A MaximalFamily stores just those level boxes; translation, cardinality
 counting, and the greatest-lower-bound construction of pure gaps all run off
 that seed data.  Everything here is generic over the family content: nothing
 assumes Kummer closed forms.
+
+The witness rule.  A level-K element e gives the seed eps = e - (K*pi, 0, ...,
+0) in [0, pi)^n, whose translates are eps + pi*k over the compositions k of K.
+A glb d needs, for each coordinate l, a witness beta with beta_l = d_l and
+beta_j > d_j for j != l (pure_gaps_from_relative_maximals).  A translate of
+eps is one iff d_l = eps_l + pi*k_l and every other k_j is at least
+max(0, floor((d_j - eps_j)/pi) + 1), so the seed has one iff d_l = eps_l (mod
+pi), d_l >= eps_l and
+
+    N_eps(d) = sum_j max(0, floor((d_j - eps_j)/pi) + 1) <= K + 1,
+
+the term at l being k_l + 1 and any spare total going to a j != l.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from collections import namedtuple
+from itertools import chain, repeat
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -61,15 +75,17 @@ class MaximalFamily(namedtuple("MaximalFamily", "period n box0", defaults=(None,
     __slots__ = ()
 
     def __new__(cls, period: int, n: int, box0: Mapping | None = None):
+        period, n = operator.index(period), operator.index(n)
         if period < 1:
             raise ValueError("period must be positive")
         if n < 2:
             raise ValueError("families need n >= 2 places")
         normalized: dict[int, tuple[TupleZ, ...]] = {}
         for k, elems in (box0 or {}).items():
+            k = operator.index(k)
             if k < 0:
                 raise ValueError(f"box levels must be nonnegative, got {k}")
-            items = sorted({tuple(e) for e in elems})
+            items = sorted({tuple(map(operator.index, e)) for e in elems})
             if not items:
                 continue
             for e in items:
@@ -112,6 +128,7 @@ def translate_box(family: MaximalFamily, ks: Sequence[int]) -> list[TupleZ]:
 
     Output tuples lie in prod_i [k_i*period, (k_i+1)*period).
     """
+    ks = tuple(map(operator.index, ks))
     if len(ks) != family.n:
         raise ValueError(f"expected {family.n} box indices, got {len(ks)}")
     if any(k < 0 for k in ks):
@@ -127,7 +144,7 @@ def family_cardinality(family: MaximalFamily, genus: int) -> int:
     sum of 2g or more already lies in the semigroup; each lower level k is hit
     by one box per composition of k into n parts.
     """
-    pi, n = family.period, family.n
+    pi, n, genus = family.period, family.n, operator.index(genus)
     bound = -(-(2 * genus - 1) // pi)
     for k in family.levels:
         if k >= bound and family.box(k):
@@ -155,7 +172,8 @@ def pure_gaps_from_relative_maximals(
     lists: a value qualifies iff it carries an element and lies below every
     witness list's maximum on that axis.  With box_max, each axis stops at its
     first value past it, so only the glbs inside (-inf, box_max]^n are walked.
-    Each glb comes out once, in lexicographic order.
+    Each glb comes out once, in lexicographic order.  It takes any element
+    list; pure_gaps_from_family gets the same glbs from a family's seeds.
     """
     if n < 1:
         raise ValueError("glbs need at least one coordinate")
@@ -190,3 +208,101 @@ def pure_gaps_from_relative_maximals(
     walk((), elems, [])
     del walk  # a closure that calls itself is a cycle; unbinding frees it at once
     return out
+
+
+def pure_gaps_from_family(family: MaximalFamily, box_max: int | None = None) -> list[TupleZ]:
+    """The glbs of every translate of the family, from its seeds, in lexicographic order.
+
+    The output of pure_gaps_from_relative_maximals on the translated set,
+    with no translate listed: the seeds are tested by the witness rule of
+    the module docstring.  With box_max, only the glbs in (-inf, box_max]^n.
+    """
+    box_max = None if box_max is None else operator.index(box_max)
+    if not family.box0:
+        return []
+    walk = _SeedWalk(family, box_max)
+    walk.walk((), (), 0)
+    return walk.out
+
+
+class _SeedWalk:
+    """The depth-first walk behind pure_gaps_from_family, with its memos.
+
+    With d_j = q_j*pi + rho_j >= 0 and 0 <= rho_j < pi, a seed's need at d_j
+    is q_j + [rho_j >= eps_j], so a prefix acts through its residues and its
+    level Q = sum q_j, which lowers every slack by Q.  Each residue prefix
+    has one record at Q = 0: slack[s], K_s + 1 less the needs so far and the
+    least needs (at the column's least eps_j) after the next coordinate; the
+    ladder of next values eps_t + pi*k, k < slack[s]; and end, over the fixed
+    coordinates, the least of the largest reach eps_t + pi*slack[s] among the
+    seeds of each one's residue.  A seed keeps slack >= 0 at v iff v is
+    below its reach.  A seed of that residue that was no witness fell below
+    its least need there, so its reach never tops a witness's.  A prefix at
+    level Q takes the ladder values in [pi*Q, end + pi*Q), moved down by
+    pi*Q.  A class, not a recursive closure, so a call leaves no cycle.
+    """
+
+    def __init__(self, family: MaximalFamily, box_max: int | None):
+        pi, self.n = family.period, family.n
+        self.pi = pi
+        seeds = [(k, (e[0] - k * pi,) + e[1:]) for k, elems in family.box0.items() for e in elems]
+        self.cols = list(zip(*(eps for _, eps in seeds)))
+        self.least = [[c == lo for c in col] for col, lo in zip(self.cols, map(min, self.cols))]
+        self.groups = []  # groups[t][rho]: the seeds with eps_t = rho
+        for col in self.cols:
+            groups = [()] * pi
+            for s, c in enumerate(col):
+                groups[c] += (s,)
+            self.groups.append(groups)
+        # candidates are eps_t + pi*k with k < slack <= K + 1: bound clips none
+        self.bound = pi * (family.max_level + 2)
+        self.top = self.bound if box_max is None else min(self.bound, box_max + 1)
+        self.out: list[TupleZ] = []
+        self.ladders: dict[tuple[int, TupleZ], list[int]] = {}
+        slack = tuple(k + 1 - sum(row) for (k, _), row in zip(seeds, zip(*self.least[1:])))
+        self.memo = {(): self.record(0, slack, ())}
+
+    def node(self, res: TupleZ) -> tuple[TupleZ, list[int], int]:
+        """The (slack, ladder, end) record of a residue prefix, from its parent's (made first)."""
+        found = self.memo.get(res)
+        if found is None:
+            t, rho = len(res), res[-1]
+            up, col = self.memo[res[:-1]][0], self.cols[t - 1]
+            slack = tuple([a - (rho >= c) + b for a, c, b in zip(up, col, self.least[t])])
+            found = self.memo[res] = self.record(t, slack, res)
+        return found
+
+    def record(self, t: int, slack: TupleZ, res: TupleZ) -> tuple[TupleZ, list[int], int]:
+        """A residue prefix's record, from its slacks at column t."""
+        pi, col = self.pi, self.cols[t]
+        reach = [c + pi * a for c, a in zip(col, slack)]
+        end = self.bound
+        for groups, rho in zip(self.groups, res):
+            e = max(map(reach.__getitem__, groups[rho]))
+            if e < end:
+                end = e
+        ladder = self.ladders.get((t, slack))
+        if ladder is None:
+            runs = chain.from_iterable(map(range, col, reach, repeat(pi)))
+            ladder = self.ladders[t, slack] = sorted(set(runs))
+        return slack, ladder, end
+
+    def walk(self, prefix: TupleZ, res: TupleZ, shift: int) -> None:
+        """The glbs under a prefix with residues res and level shift // pi."""
+        pi, top = self.pi, self.top
+        _, ladder, end = self.node(res)
+        lo = bisect_left(ladder, shift)
+        values = ladder[lo : bisect_left(ladder, min(end, top + shift), lo)]
+        if len(res) < self.n - 2:
+            for v in values:
+                rho = v % pi
+                self.walk(prefix + (v - shift,), res + (rho,), v - rho)
+            return
+        heads = [repeat(d) for d in prefix]
+        for v in values:  # the last coordinate is listed here, so that a leaf costs no call
+            rho = v % pi
+            _, last, end = self.node(res + (rho,))
+            level = v - rho
+            lo = bisect_left(last, level)
+            tail = last[lo : bisect_left(last, min(end, top + level), lo)]
+            self.out.extend(zip(*heads, repeat(v - shift), map(operator.sub, tail, repeat(level))))

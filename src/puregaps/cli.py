@@ -20,7 +20,7 @@ from typing import Sequence
 
 from . import codes as codes_mod
 from . import gapsets, maximals
-from .boxes import pure_gaps_from_relative_maximals
+from .boxes import pure_gaps_from_family
 from .curves import KummerCurve
 from .errors import DegreeWindowError, NOutOfRangeError
 from .riemann_roch import pure_gap_box_scan
@@ -186,7 +186,7 @@ def cmd_verify(args) -> int:
     oracle = pure_gap_box_scan(curve, places, box_max=box)
     routes = {"enumeration": enumerated, "oracle": oracle}
     if maximals._in_window(curve, n):
-        routes["glb"] = pure_gaps_from_relative_maximals(maximals.lambda_star(curve, n), n, box)
+        routes["glb"] = pure_gaps_from_family(maximals.relative_family(curve, n), box)
     agreed = all(route == enumerated for route in routes.values())
     if args.format == "json":
         payload = {

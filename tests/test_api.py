@@ -77,6 +77,7 @@ API = [
     "pure_gap_count_multiple_plus_one",
     "pure_gap_count_two_places",
     "pure_gaps",
+    "pure_gaps_from_family",
     "pure_gaps_from_relative_maximals",
     "relative_family",
     "relative_maximals_window_scan",

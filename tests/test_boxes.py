@@ -11,6 +11,7 @@ from puregaps import (
     lambda_star,
     pure_gap_box_scan,
     pure_gaps,
+    pure_gaps_from_family,
     pure_gaps_from_relative_maximals,
     relative_family,
     translate_box,
@@ -82,6 +83,14 @@ def test_family_validation():
     with pytest.raises(TypeError):
         fam.box0[7] = ((36, 1),)  # the level map is read-only, as the record is
     assert fam.levels == (1,)
+    # period, n, level keys and coordinates are integers; True counts as 1
+    for bad in [(2.5, 3, {}), (5, 3.0, {}), (5, 3, {1.0: ((6, 1, 1),)}), (5, 3, {1: ((6.5, 1, 1),)}),
+                (5, 3, {1: ((6, 1.0, 1),)}), (5, "3", {})]:
+        with pytest.raises(TypeError):
+            MaximalFamily(*bad)
+    ones = MaximalFamily(True, 2, {True: ((True, 0),)})
+    assert ones == (1, 2, {1: ((1, 0),)}) and type(ones.period) is int
+    assert type(ones.levels[0]) is int and all(type(c) is int for c in ones.box(1)[0])
 
 
 def test_relative_family_boxes():
@@ -108,6 +117,10 @@ def test_translate_box_is_a_shift_of_the_level_box():
         translate_box(fam, (1, 0))
     with pytest.raises(ValueError):
         translate_box(fam, (1, -1, 0))
+    for ks in [(0, 1.0, 0), (0, 2.0, 0), ("0", 2, 0)]:
+        with pytest.raises(TypeError):
+            translate_box(fam, ks)  # not [(1.0, 6.0, 1)]-style float tuples
+    assert translate_box(fam, (0, True, True)) == translate_box(fam, (0, 1, 1))
 
 
 def test_translate_box_window(corpus):
@@ -126,6 +139,9 @@ def test_family_cardinality():
     assert family_cardinality(relative_family(C59, 3), C59.genus) == 50
     assert family_cardinality(MaximalFamily(5, 3, {}), 16) == 0
     assert family_cardinality(relative_family(C34, 2), C34.genus) == 3
+    for genus in (16.5, 16.0, "16"):
+        with pytest.raises(TypeError):
+            family_cardinality(relative_family(C59, 3), genus)
 
 
 def test_family_cardinality_equals_exhaustive_union(corpus):
@@ -222,11 +238,55 @@ def test_glb_route_matches_oracle_on_small_curves(corpus):
             if n <= 3:
                 assert via_glb == ref_glbs(elems, n), (curve, n)
             # each capped route, as verify runs it, is the clipped full walk
+            fam = relative_family(curve, n)
+            assert pure_gaps_from_family(fam) == via_glb, (curve, n)
             for box in (0, 1, m, g, 2 * g):
                 want = [t for t in via_glb if max(t) <= box]
                 assert pure_gaps_from_relative_maximals(elems, n, box) == want, (curve, n, box)
+                assert pure_gaps_from_family(fam, box) == want, (curve, n, box)
                 assert list(pure_gaps(curve, n, box)) == want, (curve, n, box)
                 assert pure_gap_box_scan(curve, n, box) == want, (curve, n, box)
+
+
+@st.composite
+def families(draw):
+    # any level-box seed data, not only the Kummer windows: zero coordinates,
+    # several elements per level and shared residues included
+    period, n = draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    levels = draw(st.dictionaries(st.integers(0, 4), st.integers(1, 3), max_size=4))
+    box0 = {
+        k: [
+            (k * period + draw(st.integers(0, period - 1)),)
+            + tuple(draw(st.integers(0, period - 1)) for _ in range(n - 1))
+            for _ in range(size)
+        ]
+        for k, size in levels.items()
+    }
+    return MaximalFamily(period, n, box0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(families(), st.one_of(st.none(), st.integers(-1, 13)))
+def test_family_route_matches_the_listed_translates(fam, box):
+    # the seed walk against the pool walk over every translate, listed
+    translates = [
+        t
+        for k in fam.levels
+        for comp in compositions(k, fam.n)
+        for t in translate_box(fam, comp)
+    ]
+    assert pure_gaps_from_family(fam, box) == pure_gaps_from_relative_maximals(translates, fam.n, box)
+
+
+def test_family_route_inputs():
+    fam = relative_family(C59, 3)
+    assert pure_gaps_from_family(MaximalFamily(5, 3)) == []
+    assert pure_gaps_from_family(fam, -1) == [] and pure_gaps_from_family(fam, True) == [(1, 1, 1)]
+    for box in (2.5, "2"):
+        with pytest.raises(TypeError):
+            pure_gaps_from_family(fam, box)  # as the other routes
+    with pytest.raises(TypeError):
+        pure_gaps_from_family(MaximalFamily(5, 3), 2.5)  # checked before the empty shortcut
 
 
 def test_permutation_closed():

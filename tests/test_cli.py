@@ -200,14 +200,30 @@ def test_verify_small_boxes(capsys):
 
 
 def test_verify_small_box_on_a_large_curve(capsys):
-    # 37 137 654 pure gaps at (13, 12, 6), 1 in the box: every route stops at the box
-    start = time.perf_counter()
-    code = main(["verify", "--m", "13", "--r", "12", "--n", "6", "--max-box", "1", "--format", "json"])
-    elapsed = time.perf_counter() - start
-    payload = json.loads(capsys.readouterr().out)
-    assert code == 0 and payload["ok"] is True
-    assert payload["routes"] == {"enumeration": 1, "glb": 1, "oracle": 1}
-    assert elapsed < 1.0, elapsed
+    # 37 137 654 pure gaps at (13, 12, 6), 1 in the box; 646 646 relative
+    # maximal elements at (12, 13, 12), no pure gap in the box: every route
+    # stops at the box, the glb route included
+    for m, r, n, count in [(13, 12, 6, 1), (12, 13, 12, 0)]:
+        start = time.perf_counter()
+        code = main(["verify", "--m", str(m), "--r", str(r), "--n", str(n), "--max-box", "1", "--format", "json"])
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and payload["ok"] is True
+        assert payload["routes"] == {"enumeration": count, "glb": count, "oracle": count}
+        assert elapsed < 1.0, (m, r, n, elapsed)
+
+
+def test_verify_glb_route_reads_no_listed_maximals(capsys, monkeypatch):
+    # the glb route runs off the window family's seeds; lambda_star is not called
+    def listed(*args, **kwargs):
+        raise AssertionError("verify listed the relative maximal elements")
+
+    monkeypatch.setattr(cli.maximals, "lambda_star", listed)
+    for argv in (["--m", "5", "--r", "9", "--n", "3"], ["--m", "7", "--r", "12", "--n", "4", "--max-box", "9"]):
+        code, out, err = run(capsys, "verify", *argv, "--format", "json")
+        payload = json.loads(out)
+        assert code == 0 and err == "" and payload["ok"] is True
+        assert set(payload["routes"]) == {"enumeration", "glb", "oracle"}
 
 
 def cli_env():

@@ -24,7 +24,9 @@ from puregaps import (
     lambda_star,
     pure_gap_count,
     pure_gaps,
+    pure_gaps_from_family,
     pure_gaps_from_relative_maximals,
+    relative_family,
     verify_period,
 )
 from puregaps import riemann_roch
@@ -550,15 +552,17 @@ def test_box_scan_tests_each_output_once(monkeypatch, m, r, n):
 
 
 def test_walks_leave_no_cyclic_garbage():
-    # the scans and the glb route walk with closures that call themselves, and
-    # the capped stream with memos; each call must free its walk without the
-    # cyclic collector
+    # the scans and the pool glb walk walk with closures that call themselves,
+    # and the capped stream and the seed glb walk with memos; each call must
+    # free its walk without the cyclic collector
     walks = [
         lambda: list(pure_gaps(C59, 3, 5)),
         lambda: pure_gap_box_scan(C59, 3),
         lambda: absolute_maximals_window_scan(C59, 3),
         lambda: relative_maximals_window_scan(C59, 3),
         lambda: pure_gaps_from_relative_maximals(lambda_star(C59, 3), 3),
+        lambda: pure_gaps_from_family(relative_family(C59, 3)),
+        lambda: pure_gaps_from_family(relative_family(KummerCurve(5, 13), 4), 9),
     ]
     gc.collect()
     gc.disable()
