@@ -9,20 +9,20 @@ from puregaps import (
     KummerCurve,
     b_k,
     g_k_zero,
-    lambda_star,
     max_level,
     plot_data,
     pure_gap_box_scan,
     pure_gap_count,
     pure_gaps,
-    pure_gaps_from_relative_maximals,
+    pure_gaps_from_family,
+    relative_family,
     union_count,
 )
 
 # Small curve first: every route is cheap enough to compare directly.
 small = KummerCurve(3, 4)
 enumerated = list(pure_gaps(small, 2))
-via_glb = pure_gaps_from_relative_maximals(lambda_star(small, 2), 2)
+via_glb = pure_gaps_from_family(relative_family(small, 2))
 via_oracle = pure_gap_box_scan(small, 2)
 print("pure gaps of the (3, 4) curve at two places:")
 print("  closed-form enumeration:", enumerated)

@@ -13,9 +13,7 @@ from .boxes import (
     MaximalFamily,
     compositions,
     family_cardinality,
-    glb,
     pure_gaps_from_family,
-    pure_gaps_from_relative_maximals,
     translate_box,
 )
 from .codes import (
@@ -100,7 +98,6 @@ __all__ = [
     "gamma_hat_box",
     "gamma_star",
     "generate_tables",
-    "glb",
     "goppa_params",
     "h_one_place",
     "hermitian_subcover_points",
@@ -120,7 +117,6 @@ __all__ = [
     "pure_gap_count_two_places",
     "pure_gaps",
     "pure_gaps_from_family",
-    "pure_gaps_from_relative_maximals",
     "relative_family",
     "relative_maximals_window_scan",
     "shorten",

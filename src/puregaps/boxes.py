@@ -12,13 +12,14 @@ counting, and the greatest-lower-bound construction of pure gaps all run off
 that seed data.  Everything here is generic over the family content: nothing
 assumes Kummer closed forms.
 
-The witness rule.  A level-K element e gives the seed eps = e - (K*pi, 0, ...,
-0) in [0, pi)^n, whose translates are eps + pi*k over the compositions k of K.
-A glb d needs, for each coordinate l, a witness beta with beta_l = d_l and
-beta_j > d_j for j != l (pure_gaps_from_relative_maximals).  A translate of
-eps is one iff d_l = eps_l + pi*k_l and every other k_j is at least
-max(0, floor((d_j - eps_j)/pi) + 1), so the seed has one iff d_l = eps_l (mod
-pi), d_l >= eps_l and
+The witness rule.  Relative maximal elements beta^1, ..., beta^n, each beta^l
+strictly below the others on coordinate l, have the glb d = (beta^1_1, ...,
+beta^n_n); so d is such a glb iff each coordinate l has a witness beta with
+beta_l = d_l and beta_j > d_j for j != l.  The level-K element e has the seed
+eps = e - (K*pi, 0, ..., 0) in [0, pi)^n and the translates eps + pi*k, k a
+composition of K; one is a witness iff d_l = eps_l + pi*k_l and each other
+k_j >= max(0, floor((d_j - eps_j)/pi) + 1), so the seed has one iff
+d_l = eps_l (mod pi), d_l >= eps_l and
 
     N_eps(d) = sum_j max(0, floor((d_j - eps_j)/pi) + 1) <= K + 1,
 
@@ -40,21 +41,11 @@ from .curves import _checked_make
 TupleZ = tuple[int, ...]
 
 
-def glb(tuples: Iterable[Sequence[int]]) -> TupleZ:
-    """Componentwise minimum of a nonempty collection of equal-length tuples."""
-    ts = [tuple(t) for t in tuples]
-    if not ts:
-        raise ValueError("glb of an empty collection is undefined")
-    if len({len(t) for t in ts}) != 1:
-        raise ValueError("glb needs tuples of equal dimension")
-    return tuple(min(col) for col in zip(*ts))
-
-
 def compositions(total: int, parts: int) -> Iterator[TupleZ]:
     """Weak compositions of ``total`` into ``parts`` nonnegative parts, colex order."""
-    if parts < 1:
+    if operator.index(parts) < 1:
         raise ValueError("need at least one part")
-    if total < 0:
+    if operator.index(total) < 0:
         return
     if parts == 1:
         yield (total,)
@@ -154,68 +145,11 @@ def family_cardinality(family: MaximalFamily, genus: int) -> int:
     return sum(comb(k + n - 1, n - 1) * len(family.box(k)) for k in family.levels)
 
 
-def pure_gaps_from_relative_maximals(
-    relative_maximals: Iterable[Sequence[int]], n: int, box_max: int | None = None
-) -> list[TupleZ]:
-    """Pure gaps as greatest lower bounds of n-tuples of relative maximal elements.
-
-    A glb(beta^1, ..., beta^n) qualifies when each beta^l has its l-th
-    coordinate strictly below the l-th coordinate of every other chosen
-    element; the glb is then d = (beta^1_1, ..., beta^n_n).  Written out per
-    element, the pairwise condition reads beta^l_l = d_l and beta^l_j > d_j
-    for every j != l, which separates by coordinate: d qualifies iff every
-    coordinate l has a witness beta with beta_l = d_l that lies strictly above
-    d on the other coordinates.  So d is walked depth first, each value d_j
-    taken from the elements still above the prefix, and each fixed coordinate
-    keeps its surviving witnesses; raising d_j only thins those lists, so the
-    value loop stops at the first empty one.  The last coordinate needs no
-    lists: a value qualifies iff it carries an element and lies below every
-    witness list's maximum on that axis.  With box_max, each axis stops at its
-    first value past it, so only the glbs inside (-inf, box_max]^n are walked.
-    Each glb comes out once, in lexicographic order.  It takes any element
-    list; pure_gaps_from_family gets the same glbs from a family's seeds.
-    """
-    if n < 1:
-        raise ValueError("glbs need at least one coordinate")
-    elems = sorted({tuple(e) for e in relative_maximals})
-    for e in elems:
-        if len(e) != n:
-            raise ValueError(f"element {e} does not have dimension {n}")
-    if box_max is None:
-        box_max = max(map(max, elems), default=0)  # no glb coordinate lies above it
-    box_max = operator.index(box_max)
-    out: list[TupleZ] = []
-
-    def walk(prefix: TupleZ, pool: list[TupleZ], witnesses: list[list[TupleZ]]) -> None:
-        # pool: the elements above prefix on every fixed coordinate
-        j = len(prefix)
-        if j == n - 1:
-            stop = min([box_max + 1] + [max(b[j] for b in w) for w in witnesses])
-            out.extend(prefix + (v,) for v in sorted({b[j] for b in pool}) if v < stop)
-            return
-        carriers: dict[int, list[TupleZ]] = {}
-        for b in pool:
-            carriers.setdefault(b[j], []).append(b)
-        for v in sorted(carriers):
-            if v > box_max:
-                break
-            kept = [[b for b in w if b[j] > v] for w in witnesses]
-            above = [b for b in pool if b[j] > v]
-            if not (above and all(kept)):
-                break
-            walk(prefix + (v,), above, kept + [carriers[v]])
-
-    walk((), elems, [])
-    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
-    return out
-
-
 def pure_gaps_from_family(family: MaximalFamily, box_max: int | None = None) -> list[TupleZ]:
     """The glbs of every translate of the family, from its seeds, in lexicographic order.
 
-    The output of pure_gaps_from_relative_maximals on the translated set,
-    with no translate listed: the seeds are tested by the witness rule of
-    the module docstring.  With box_max, only the glbs in (-inf, box_max]^n.
+    No translate is listed: each seed is tested by the witness rule of the
+    module docstring.  With box_max, only the glbs in (-inf, box_max]^n.
     """
     box_max = None if box_max is None else operator.index(box_max)
     if not family.box0:

@@ -13,6 +13,7 @@ field arithmetic, no encoding.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
@@ -34,6 +35,7 @@ class CodeSpec(namedtuple("CodeSpec", "curve n k partition a length")):
     __slots__ = ()
 
     def __new__(cls, curve: KummerCurve, n: int, k: int, partition, a, length: int):
+        partition, a = tuple(map(operator.index, partition)), tuple(map(operator.index, a))
         if len(partition) != n or len(a) != n:
             raise ValueError("partition and a must both have one entry per place")
         if any(p < 0 for p in partition):
@@ -45,7 +47,7 @@ class CodeSpec(namedtuple("CodeSpec", "curve n k partition a length")):
             raise ValueError(f"level k={k} has no pure gaps on this curve")
         if any(not 1 <= ai <= bi for ai, bi in zip(a, box.bounds)):
             raise ValueError(f"offsets {a} leave the level box with bounds {box.bounds}")
-        return super().__new__(cls, curve, n, k, partition, a, length)
+        return super().__new__(cls, curve, n, k, partition, a, operator.index(length))
 
     _make = classmethod(_checked_make)
 
@@ -83,7 +85,7 @@ def _check_window(degree: int, genus: int, length: int) -> None:
 
 def goppa_params(length: int, degree: int, genus: int) -> tuple[int, int]:
     """Baseline dimension and distance floor: (N - deg(G) - 1 + g, deg(G) - (2g-2))."""
-    _check_window(degree, genus, length)
+    _check_window(operator.index(degree), operator.index(genus), operator.index(length))
     return length - degree - 1 + genus, degree - (2 * genus - 2)
 
 
@@ -128,7 +130,7 @@ def hermitian_subcover_points(q: int, m: int) -> int:
 
     The curve is maximal there; requires m to divide q + 1.
     """
-    if m < 2 or q < 2:
+    if operator.index(m) < 2 or operator.index(q) < 2:
         raise ValueError("need q >= 2 and m >= 2")
     if (q + 1) % m != 0:
         raise ValueError(f"m = {m} must divide q + 1 = {q + 1}")
@@ -137,9 +139,9 @@ def hermitian_subcover_points(q: int, m: int) -> int:
 
 def norm_trace_like_points(q: int, t: int, m: int) -> int:
     """Rational points of y^m = (x^(q^(t/2)) - x)^(q^(t/2) - 1) over the field with q^t elements."""
-    if m < 2 or q < 2:
+    if operator.index(m) < 2 or operator.index(q) < 2:
         raise ValueError("need q >= 2 and m >= 2")
-    if t < 2 or t % 2 != 0:
+    if operator.index(t) < 2 or t % 2 != 0:
         raise ValueError(f"t must be a positive even integer, got {t}")
     if (q**t - 1) % m != 0:
         raise ValueError(f"m = {m} must divide q^t - 1 = {q**t - 1}")

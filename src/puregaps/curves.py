@@ -171,6 +171,7 @@ class KummerCurve(namedtuple("KummerCurve", "m r lam", defaults=(1,))):
     __slots__ = ()
 
     def __new__(cls, m: int, r: int, lam: int = 1):
+        m, r, lam = operator.index(m), operator.index(r), operator.index(lam)  # True becomes 1
         if m < 2:
             raise ValueError(f"Kummer exponent m must be >= 2, got {m}")
         if r < 2:

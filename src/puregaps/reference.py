@@ -1,13 +1,16 @@
 """Reference oracles that the tests check the package against.
 
 Each one restates a quantity of the package by plain enumeration or straight
-from its definition, so it shares no code with the route it checks.  The
-package does not import this module; ``import puregaps.reference`` loads it.
+from its definition, so it shares no code with the route it checks.  Among
+them is the glb walk over a list of relative maximal elements, which checks
+the family-seeded glb route of ``puregaps.boxes``.  The package does not
+import this module; ``import puregaps.reference`` loads it.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+from math import inf
 from typing import Iterable, Sequence
 
 
@@ -53,6 +56,56 @@ def permutation_closed(tuples: Iterable[Sequence[int]]) -> bool:
             if p not in pool:
                 return False
     return True
+
+
+def pure_gaps_from_relative_maximals(
+    relative_maximals: Iterable[Sequence[int]], n: int
+) -> list[tuple[int, ...]]:
+    """Pure gaps as greatest lower bounds of n-tuples of relative maximal elements.
+
+    A glb(beta^1, ..., beta^n) qualifies when each beta^l has its l-th
+    coordinate strictly below the l-th coordinate of every other chosen
+    element; the glb is then d = (beta^1_1, ..., beta^n_n).  Written out per
+    element, the pairwise condition reads beta^l_l = d_l and beta^l_j > d_j
+    for every j != l, which separates by coordinate: d qualifies iff every
+    coordinate l has a witness beta with beta_l = d_l that lies strictly above
+    d on the other coordinates.  So d is walked depth first, each value d_j
+    taken from the elements still above the prefix, and each fixed coordinate
+    keeps its surviving witnesses; raising d_j only thins those lists, so the
+    value loop stops at the first empty one.  The last coordinate needs no
+    lists: a value qualifies iff it carries an element and lies below every
+    witness list's maximum on that axis.  Each glb comes out once, in
+    lexicographic order.  Independent oracle for boxes.pure_gaps_from_family,
+    which gets the same glbs from a family's seeds without listing them.
+    """
+    if n < 1:
+        raise ValueError("glbs need at least one coordinate")
+    elems = sorted({tuple(e) for e in relative_maximals})
+    for e in elems:
+        if len(e) != n:
+            raise ValueError(f"element {e} does not have dimension {n}")
+    out: list[tuple[int, ...]] = []
+
+    def walk(prefix: tuple[int, ...], pool: list, witnesses: list[list]) -> None:
+        # pool: the elements above prefix on every fixed coordinate
+        j = len(prefix)
+        if j == n - 1:
+            stop = min([max(b[j] for b in w) for w in witnesses], default=inf)
+            out.extend(prefix + (v,) for v in sorted({b[j] for b in pool}) if v < stop)
+            return
+        carriers: dict[int, list] = {}
+        for b in pool:
+            carriers.setdefault(b[j], []).append(b)
+        for v in sorted(carriers):
+            kept = [[b for b in w if b[j] > v] for w in witnesses]
+            above = [b for b in pool if b[j] > v]
+            if not (above and all(kept)):
+                break
+            walk(prefix + (v,), above, kept + [carriers[v]])
+
+    walk((), elems, [])
+    del walk  # a closure that calls itself is a cycle; unbinding frees it at once
+    return out
 
 
 def carvalho_torres_bound(

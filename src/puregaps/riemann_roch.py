@@ -119,11 +119,13 @@ def _check_places(curve: KummerCurve, places: Sequence[Place] | None, n: int) ->
         places = curve.ramified_places(n)  # raises the range error
     if len(places) != n:
         raise ValueError(f"{n}-tuple given with {len(places)} places")
-    if len(set(places)) != len(places):
-        raise ValueError("places must be pairwise distinct")
     for p in places:
+        if not isinstance(p, Place):
+            raise TypeError(f"places must be Place objects, got {p!r}")
         if p.is_infinity or p.index > curve.r:
             raise ValueError(f"{p} is not a branch place of the curve (r={curve.r})")
+    if len(set(places)) != len(places):
+        raise ValueError("places must be pairwise distinct")
 
 
 def _class_dims(m: int, r: int, alpha: Sequence[int]) -> dict[int, list[int]]:

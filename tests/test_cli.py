@@ -226,6 +226,19 @@ def test_verify_glb_route_reads_no_listed_maximals(capsys, monkeypatch):
         assert set(payload["routes"]) == {"enumeration", "glb", "oracle"}
 
 
+def test_verify_mismatch_exits_1(capsys, monkeypatch):
+    # a route that loses its last pure gap must fail the run
+    scan = cli.pure_gap_box_scan
+    monkeypatch.setattr(cli, "pure_gap_box_scan", lambda *args, **kwargs: scan(*args, **kwargs)[:-1])
+    code, out, err = run(capsys, "verify", "--m", "3", "--r", "4", "--n", "2")
+    assert code == 1 and out == ""
+    assert err == "MISMATCH: routes disagree (enumeration=3, glb=3, oracle=2)\n"
+    code, out, err = run(capsys, "verify", "--m", "3", "--r", "4", "--n", "2", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and err == "" and payload["ok"] is False
+    assert payload["routes"] == {"enumeration": 3, "glb": 3, "oracle": 2}
+
+
 def cli_env():
     path = [str(SRC), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))

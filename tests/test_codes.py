@@ -37,6 +37,9 @@ def test_goppa_params():
     assert goppa_params(175, 23, 7) == (158, 11)
     n, g = 100, 5
     assert goppa_params(n, 2 * g - 1, g) == (n - g, 1)
+    for bad in [(100.5, 20, 5), (100, 20.0, 5), (100, 20, "5")]:
+        with pytest.raises(TypeError):
+            goppa_params(*bad)  # not (84.5, 12)
 
 
 def test_goppa_window_errors():
@@ -95,6 +98,15 @@ def test_code_spec_validation():
         CodeSpec(c47, 2, 3, (3, 0), (2, 1), 174)  # offsets leave B_3 (bounds (1,1))
     with pytest.raises(ValueError):
         CodeSpec(c47, 2, 5, (5, 0), (1, 1), 174)  # level past the last nonempty box
+    with pytest.raises(ValueError):
+        CodeSpec(c47, 2, 3, (3, 0, 0), (1, 1), 174)  # one partition entry per place
+    # integer fields: no deg(G) = 5.5 from a float offset
+    for bad in [(2, 0, (0, 0), (1.5, 1), 100), (2, 0, (0.0, 0), (1, 1), 100),
+                (2, 0, (0, 0), (1, 1), 100.0), (2.0, 0, (0, 0), (1, 1), 100)]:
+        with pytest.raises(TypeError):
+            CodeSpec(c47, *bad)
+    spec = CodeSpec(c47, 2, 3, [3, False], [True, 1], 174)
+    assert spec == (c47, 2, 3, (3, 0), (1, 1), 174) and type(spec.a[0]) is int
 
 
 DESIGN_CASES = [
@@ -187,6 +199,11 @@ def test_hermitian_subcover_points():
     assert hermitian_subcover_points(8, 3) == 177
     with pytest.raises(ValueError):
         hermitian_subcover_points(7, 3)  # 3 does not divide 8
+    with pytest.raises(ValueError, match="need q >= 2 and m >= 2"):
+        hermitian_subcover_points(1, 2)
+    for q, m in [(7.0, 4), (7, 4.0), ("7", 4)]:
+        with pytest.raises(TypeError):
+            hermitian_subcover_points(q, m)  # not 176.0
 
 
 def test_norm_trace_like_points():
@@ -202,6 +219,9 @@ def test_norm_trace_like_points():
     # q and m are checked first, with the message of hermitian_subcover_points
     for q, t, m in [(-1, 2, 3), (0, 2, 1), (1, 2, 3), (2, 6, 1), (3, 4, 0)]:
         with pytest.raises(ValueError, match="need q >= 2 and m >= 2"):
+            norm_trace_like_points(q, t, m)
+    for q, t, m in [(2.0, 6, 3), (2, 6.0, 3), (2, 6, 3.0)]:
+        with pytest.raises(TypeError):
             norm_trace_like_points(q, t, m)
 
 

@@ -45,6 +45,15 @@ def test_invalid_curves_rejected(m, r, lam):
         KummerCurve(m, r, lam)
 
 
+def test_curve_fields_are_integers():
+    for bad in [(5.0, 9), (5, 9.0), (5, 9, 1.0), ("5", 9)]:
+        with pytest.raises(TypeError):
+            KummerCurve(*bad)
+    curve = KummerCurve(5, 9, True)  # True counts as 1, as in Place
+    assert curve == KummerCurve(5, 9) and type(curve.lam) is int
+    assert curve.to_json() == {"m": 5, "r": 9, "lambda": 1, "genus": 16}
+
+
 def test_gcd_condition_implies_coprime_m_r(corpus):
     from math import gcd
 
@@ -135,6 +144,12 @@ def test_divisor_rejects_non_integer_coefficients(c):
     # no silent truncation or parsing: 1.7 is not P_1 and "3" is not 3*P_1
     with pytest.raises(TypeError):
         Divisor({Place(1): c})
+
+
+@pytest.mark.parametrize("key", [1, 0, "P_1", (1,)])
+def test_divisor_rejects_non_place_keys(key):
+    with pytest.raises(TypeError, match="^divisor keys must be places"):
+        Divisor({key: 1})
 
 
 # --- the arithmetic fast path: results built without the validating constructor

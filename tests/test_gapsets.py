@@ -225,6 +225,8 @@ def test_union_count_base_cases():
     assert union_count((4, 3, 3)) == 54
     assert union_count((5, 4, 3)) == 108  # consecutive: 3 * 6^2
     assert union_count((True, 1)) == 1
+    with pytest.raises(ValueError):
+        union_count(())
 
 
 @pytest.mark.parametrize("bounds", [(2.5, 1.9), (3.0, 2), ("3", "2")])

@@ -25,12 +25,11 @@ from puregaps import (
     pure_gap_count,
     pure_gaps,
     pure_gaps_from_family,
-    pure_gaps_from_relative_maximals,
     relative_family,
     verify_period,
 )
 from puregaps import riemann_roch
-from puregaps.reference import per_residue_literal
+from puregaps.reference import per_residue_literal, pure_gaps_from_relative_maximals
 from puregaps.riemann_roch import (
     _absolute,
     _class_dims,
@@ -257,6 +256,8 @@ def test_predicates_validate_places():
         is_pure_gap(C34, (1, 1), (C34.place(1), C34.place(1)))
     with pytest.raises(ValueError):
         in_generalized_semigroup(C34, (1, 1), (C34.place(1), INFINITY))
+    with pytest.raises(ValueError, match="^2-tuple given with 1 places$"):
+        is_pure_gap(C34, (1, 1), (C34.place(1),))
     # the default places P_1..P_n need 1 <= n <= r
     for alpha in ((), (1,) * 5):
         with pytest.raises(ValueError, match="^can take between 1 and 4 branch places"):
@@ -439,6 +440,18 @@ def test_scans_refuse_an_empty_place_tuple(scan):
     for places in (0, ()):
         with pytest.raises(ValueError):
             scan(C34, places)
+
+
+def test_place_arguments_must_be_places():
+    # a bare index is refused by name, not by an AttributeError from inside the check
+    c59 = KummerCurve(5, 9)
+    with pytest.raises(TypeError, match="^places must be Place objects, got 1$"):
+        is_pure_gap(c59, (1, 2), places=[1, 2])
+    with pytest.raises(TypeError):
+        pure_gap_box_scan(c59, [c59.place(1), 2])
+    with pytest.raises(TypeError):
+        verify_period(c59, 1, 2)
+    assert is_pure_gap(c59, (1, 2), places=[Place(1), Place(2)])
 
 
 def test_box_scan_matches_full_box_scan(corpus):
