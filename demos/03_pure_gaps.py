@@ -8,7 +8,6 @@ from itertools import islice
 from puregaps import (
     KummerCurve,
     b_k,
-    g_k_zero,
     max_level,
     plot_data,
     pure_gap_box_scan,
@@ -37,10 +36,7 @@ n = 3
 print(f"curve (m, r) = (5, 9), {n} places, genus {curve.genus}")
 for k in range(max_level(curve, n) + 1):
     box = b_k(curve, n, k)
-    print(
-        f"  level {k}: offset bounds {box.bounds}, "
-        f"|cell| = {union_count(box.bounds)}, first cell has {len(g_k_zero(curve, n, k))}"
-    )
+    print(f"  level {k}: offset bounds {box.bounds}, |cell| = {union_count(box.bounds)}")
 print("total pure gaps:", pure_gap_count(curve, n))
 print("first eight in lex order:", list(islice(pure_gaps(curve, n), 8)))
 print()

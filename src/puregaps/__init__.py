@@ -36,7 +36,6 @@ from .gapsets import (
     Cube,
     CubeData,
     b_k,
-    g_k_zero,
     max_level,
     plot_data,
     pure_gap_count,
@@ -94,7 +93,6 @@ __all__ = [
     "divisor_from_tuple",
     "ell",
     "family_cardinality",
-    "g_k_zero",
     "gamma_hat_box",
     "gamma_star",
     "generate_tables",

@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from itertools import islice
 from typing import Sequence
 
 from . import codes as codes_mod
@@ -25,7 +24,7 @@ from .curves import KummerCurve
 from .errors import DegreeWindowError, NOutOfRangeError
 from .riemann_roch import pure_gap_box_scan
 
-_CHUNK_LINES = 1024  # lines per write of text and csv output
+_CHUNK_LINES = 1024  # tuples per write of the pure-gaps stream, in any format
 
 
 def _curve_from(args) -> KummerCurve:
@@ -61,17 +60,12 @@ def _places_count(args, curve: KummerCurve) -> tuple[int, list[int]]:
 def _emit_tuples(tuples, fmt: str) -> None:
     """One tuple a line, space-separated (text) or comma-separated (csv).
 
-    Lines go out in chunks of _CHUNK_LINES, one write each.  All tuples of one
-    call have the same length, so one %-format serves them all.
+    All tuples of one call have the same length, so one %-format serves them all.
     """
-    it = iter(tuples)
-    chunk = list(islice(it, _CHUNK_LINES))
-    if not chunk:
+    if not tuples:
         return
-    line = ("," if fmt == "csv" else " ").join(["%s"] * len(chunk[0])) + "\n"
-    while chunk:
-        sys.stdout.write("".join(map(line.__mod__, chunk)))
-        chunk = list(islice(it, _CHUNK_LINES))
+    line = ("," if fmt == "csv" else " ").join(["%s"] * len(tuples[0])) + "\n"
+    sys.stdout.writelines(map(line.__mod__, tuples))
 
 
 def _emit_pure_gaps(curve: KummerCurve, n: int, fmt: str) -> None:

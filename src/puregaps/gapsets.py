@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from itertools import chain, permutations, product
+from itertools import chain
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -61,21 +61,6 @@ class BkBox(namedtuple("BkBox", "level bounds empty")):
     """
 
     __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        if self.empty:
-            return 0
-        out = 1
-        for b in self.bounds:
-            out *= max(b, 0)
-        return out
-
-    def tuples(self) -> Iterator[TupleZ]:
-        """Lex-ordered contents: products of [1, a_j]."""
-        if self.empty:
-            return iter(())
-        return product(*(range(1, b + 1) for b in self.bounds))
 
 
 def max_level(curve: KummerCurve, n: int) -> int:
@@ -96,17 +81,6 @@ def _box_bounds(curve: KummerCurve, k: int, count: int) -> list[int]:
     """m - ceil(m*(k+j)/r) for j = 1..count: bound j of level k, and bound j - i of level k + i."""
     m, r = curve.m, curve.r
     return [m - -(-(m * (k + j)) // r) for j in range(1, count + 1)]
-
-
-def _sigma_union(box: BkBox) -> list[TupleZ]:
-    """Union of the box over all coordinate permutations, sorted, no duplicates."""
-    return sorted({p for t in box.tuples() for p in permutations(t)})
-
-
-def g_k_zero(curve: KummerCurve, n: int, k: int) -> list[TupleZ]:
-    """The pure gaps in the level-k cell on the first axis: (k*m, 0, ..., 0) + union."""
-    m = curve.m
-    return [(k * m + t[0],) + t[1:] for t in _sigma_union(b_k(curve, n, k))]
 
 
 def pure_gaps(curve: KummerCurve, n: int, box_max: int | None = None) -> Iterator[TupleZ]:

@@ -2,9 +2,11 @@
 
 Each one restates a quantity of the package by plain enumeration or straight
 from its definition, so it shares no code with the route it checks.  Among
-them is the glb walk over a list of relative maximal elements, which checks
-the family-seeded glb route of ``puregaps.boxes``.  The package does not
-import this module; ``import puregaps.reference`` loads it.
+them are the permutation union of a level box, which lists the cells that
+``puregaps.gapsets`` counts and streams, and the glb walk over a list of
+relative maximal elements, which checks the family-seeded glb route of
+``puregaps.boxes``.  The package does not import this module;
+``import puregaps.reference`` loads it.
 """
 
 from __future__ import annotations
@@ -30,8 +32,19 @@ def per_residue_literal(m: int, r: int, coeffs: dict[int, int], a_inf: int) -> l
     return out
 
 
+def permutation_union(bounds: Sequence[int]) -> list[tuple[int, ...]]:
+    """The box prod [1, b_j] united over all coordinate permutations, sorted, no duplicates.
+
+    The box has no point, so the list is empty, when any bound is below 1.
+    Independent oracle for the cells of gapsets: the level-k cell at the
+    origin is permutation_union(b_k(curve, n, k).bounds).
+    """
+    box = product(*(range(1, b + 1) for b in bounds))
+    return sorted({p for t in box for p in permutations(t)})
+
+
 def union_count_bruteforce(bounds: Sequence[int]) -> int:
-    """|union over permutations of the box| by explicit set enumeration.
+    """|permutation_union(bounds)|, with the input and budget checked first.
 
     Independent oracle for gapsets.union_count; limited to n <= 5 and bounds
     <= 8 to keep the enumeration budget explicit.
@@ -44,8 +57,7 @@ def union_count_bruteforce(bounds: Sequence[int]) -> int:
         raise ValueError(f"bounds must be non-increasing and positive, got {a}")
     if n > 5 or a[0] > 8:
         raise ValueError(f"enumeration budget exceeded for bounds {a} (n <= 5, max 8)")
-    box = product(*(range(1, b + 1) for b in a))
-    return len({p for t in box for p in permutations(t)})
+    return len(permutation_union(a))
 
 
 def permutation_closed(tuples: Iterable[Sequence[int]]) -> bool:

@@ -239,6 +239,8 @@ def is_relative_maximal(
 def _lowered_class(curve: KummerCurve, place: Place, coeffs: dict[int, int], a_inf: int) -> int:
     """The class s whose l_s falls by one when place is lowered by one in (coeffs, a_inf)."""
     m = curve.m
+    if not isinstance(place, Place):
+        raise TypeError(f"places must be Place objects, got {place!r}")
     if place.is_infinity:
         return a_inf * pow(curve.r, -1, m) % m
     if place.index > curve.r:

@@ -20,9 +20,9 @@ from puregaps import (
     INFINITY,
     KummerCurve,
     absolute_maximals_window_scan,
+    b_k,
     compositions,
     ell,
-    g_k_zero,
     gamma_hat_box,
     gamma_star,
     generate_tables,
@@ -35,13 +35,14 @@ from puregaps import (
     pure_gap_count_multiple_plus_one,
     pure_gap_count_two_places,
     pure_gaps,
+    pure_gaps_from_family,
     relative_family,
     relative_maximals_window_scan,
     translate_box,
     union_count,
     verify_period,
 )
-from puregaps.reference import permutation_closed, union_count_bruteforce
+from puregaps.reference import permutation_closed, permutation_union, union_count_bruteforce
 
 CORPUS = small_curves(max_genus=10)
 
@@ -67,8 +68,10 @@ def test_criterion_1_pure_gap_count_reproduction():
     with criterion(1, "pure-gap count 382 with per-box sizes and multiplicities", 1.0):
         curve = KummerCurve(5, 9, 1)
         assert pure_gap_count(curve, 3) == 382
-        sizes = [len(g_k_zero(curve, 3, k)) for k in range(5)]
+        boxes = [b_k(curve, 3, k).bounds for k in range(5)]
+        sizes = [union_count(bounds) for bounds in boxes]
         assert sizes == [54, 26, 20, 7, 4]
+        assert [len(permutation_union(bounds)) for bounds in boxes] == [54, 26, 20, 7, 4]
         multiplicities = [len(list(compositions(k, 3))) for k in range(5)]
         assert multiplicities == [1, 3, 6, 10, 15]
         assert sum(s * m for s, m in zip(sizes, multiplicities)) == 382
@@ -107,6 +110,10 @@ def test_criterion_3_oracle_equivalence():
                 assert sorted(pure_gaps(curve, n)) == pure_gap_box_scan(curve, n), (m, r, n)
                 if n > r - r // m:
                     continue
+                # pure gaps: the glb route over the family's translates vs the enumeration
+                assert pure_gaps_from_family(relative_family(curve, n)) == list(
+                    pure_gaps(curve, n)
+                ), (m, r, n)
                 # every closed-form maximal element passes its oracle predicate
                 for e in lambda_star(curve, n):
                     assert is_relative_maximal(curve, e), (m, r, n, e)

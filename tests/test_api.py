@@ -1,12 +1,14 @@
 """The public surface: what ``puregaps`` exports, and the names the benchmark reads."""
 
 import argparse
+import ast
 import importlib
 import inspect
 import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -54,7 +56,6 @@ API = [
     "divisor_from_tuple",
     "ell",
     "family_cardinality",
-    "g_k_zero",
     "gamma_hat_box",
     "gamma_star",
     "generate_tables",
@@ -156,6 +157,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert fresh_process_output(probe) == "[]"
     for path in sorted((SRC / "puregaps").glob("*.py")):
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M), path
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # pyproject.toml promises requires-python >= floor; the suite itself runs on a newer Python
+    pyproject = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    found = re.fullmatch(r">=\s*(\d+)\.(\d+)", pyproject["project"]["requires-python"])
+    floor = (int(found[1]), int(found[2]))
+    for path in sorted((SRC / "puregaps").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+    # the guard is live: 3.11 syntax parses at 3.11 and is refused at the floor
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(newer, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=floor)
 
 
 # --- records -----------------------------------------------------------------

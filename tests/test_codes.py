@@ -126,7 +126,7 @@ def test_design_matches_component_bounds():
 
         for k in range(max_level(curve, n) + 1):
             box = b_k(curve, n, k)
-            for a in box.tuples():
+            for a in product(*(range(1, b + 1) for b in box.bounds)):
                 partition = (k,) + (0,) * (n - 1)
                 try:
                     got = design_code(CodeSpec(curve, n, k, partition, a, length))
@@ -249,7 +249,7 @@ def test_tables_reproduce_fixtures_exactly():
 
 def test_offsets_with_sum_is_the_first_box_vector_with_that_sum():
     def scanned(curve, n, k, target):  # the lexicographic box scan the closed form replaced
-        for a in b_k(curve, n, k).tuples():
+        for a in product(*(range(1, b + 1) for b in b_k(curve, n, k).bounds)):
             if sum(a) == target:
                 return a
         return None

@@ -10,7 +10,6 @@ from puregaps import (
     NOutOfRangeError,
     b_k,
     compositions,
-    g_k_zero,
     is_pure_gap,
     lambda_star,
     max_level,
@@ -22,8 +21,8 @@ from puregaps import (
     pure_gaps,
     union_count,
 )
-from puregaps.gapsets import _BlockWalk, _level_bounds, _sigma_union, pure_gap_blocks
-from puregaps.reference import permutation_closed, union_count_bruteforce
+from puregaps.gapsets import _BlockWalk, _level_bounds, pure_gap_blocks
+from puregaps.reference import permutation_closed, permutation_union, union_count_bruteforce
 
 C34 = KummerCurve(3, 4)
 C59 = KummerCurve(5, 9)
@@ -40,7 +39,7 @@ def test_b_k_bounds():
 
 def test_b_k_empty_marker():
     box = b_k(C59, 3, 5)
-    assert box.empty and box.size == 0 and list(box.tuples()) == []
+    assert box.empty and permutation_union(box.bounds) == []
     assert not b_k(C59, 3, 4).empty
     assert max_level(C59, 3) == 4
 
@@ -55,10 +54,9 @@ def test_b_k_bounds_non_increasing(corpus):
                 bounds = box.bounds
                 assert all(bounds[i] >= bounds[i + 1] for i in range(n - 1))
                 assert bounds[-1] >= 1
-                assert box.size == len(list(box.tuples()))
             for k in range(max(top + 1, 0), top + 4):
                 box = b_k(curve, n, k)
-                assert box.empty and box.size == 0 and list(box.tuples()) == []
+                assert box.empty and permutation_union(box.bounds) == []
             assert _level_bounds(curve, n) == [b_k(curve, n, k).bounds for k in range(top + 1)]
 
 
@@ -77,11 +75,17 @@ def test_b_k_validation():
     assert max_level(C59, True) == max_level(C59, 1)
 
 
+def cell(curve, n, k):
+    """The pure gaps in the level-k cell on the first axis: (k*m, 0, ..., 0) + the union."""
+    union = permutation_union(b_k(curve, n, k).bounds)
+    return [(k * curve.m + t[0],) + t[1:] for t in union]
+
+
 def test_g_k_zero():
-    assert g_k_zero(C59, 3, 4) == [(21, 1, 1), (21, 1, 2), (21, 2, 1), (22, 1, 1)]
-    assert len(g_k_zero(C59, 3, 0)) == 54
-    assert g_k_zero(C34, 2, 0) == [(1, 1), (1, 2), (2, 1)]
-    assert g_k_zero(C59, 3, 5) == []
+    assert cell(C59, 3, 4) == [(21, 1, 1), (21, 1, 2), (21, 2, 1), (22, 1, 1)]
+    assert len(cell(C59, 3, 0)) == 54
+    assert cell(C34, 2, 0) == [(1, 1), (1, 2), (2, 1)]
+    assert cell(C59, 3, 5) == []
 
 
 # --- the enumeration stream ------------------------------------------------
@@ -133,7 +137,7 @@ def cell_union(curve, n):
     m = curve.m
     out = []
     for k in range(max_level(curve, n) + 1):
-        union = _sigma_union(b_k(curve, n, k))
+        union = permutation_union(b_k(curve, n, k).bounds)
         for comp in compositions(k, n):
             out.extend(tuple(c * m + x for c, x in zip(comp, u)) for u in union)
     return sorted(out)
@@ -240,6 +244,8 @@ def test_union_count_bruteforce():
     assert union_count_bruteforce((2, 1)) == 3
     assert union_count_bruteforce((1, 1, 1, 1)) == 1
     assert union_count_bruteforce((4, 3, 3)) == 54
+    for a in ((2, 1), (1, 1, 1, 1), (4, 3, 3), (8, 5, 5, 2, 1)):
+        assert union_count_bruteforce(a) == len(permutation_union(a)), a
 
 
 def test_union_count_bruteforce_budget():
@@ -251,6 +257,24 @@ def test_union_count_bruteforce_budget():
         union_count_bruteforce((1, 2))  # not non-increasing
     with pytest.raises(ValueError):
         union_count_bruteforce((2, 0))
+
+
+def test_permutation_union_lists_the_union_count(corpus):
+    # every level box of the corpus to n = 6: past that, permuting the all-ones box alone
+    # walks n! orderings
+    boxes = 0
+    for curve in corpus:
+        for n in range(2, min(curve.r, 6) + 1):
+            for k in range(max_level(curve, n) + 1):
+                bounds = b_k(curve, n, k).bounds
+                union = permutation_union(bounds)
+                assert all(a < b for a, b in zip(union, union[1:])), (curve, n, k)
+                assert permutation_closed(union), (curve, n, k)
+                assert len(union) == union_count(bounds), (curve, n, k)
+                boxes += 1
+    assert boxes == 237
+    assert permutation_union((2, 1)) == [(1, 1), (1, 2), (2, 1)]
+    assert permutation_union((3, 0)) == permutation_union((1, -1, 1)) == []
 
 
 def test_union_count_matches_bruteforce():

@@ -451,7 +451,14 @@ def test_place_arguments_must_be_places():
         pure_gap_box_scan(c59, [c59.place(1), 2])
     with pytest.raises(TypeError):
         verify_period(c59, 1, 2)
+    with pytest.raises(TypeError, match="^places must be Place objects, got 1$"):
+        is_discrepancy(c59, Divisor(), 1, 2)
+    with pytest.raises(TypeError, match="^places must be Place objects, got 2$"):
+        is_discrepancy(c59, Divisor(), Place(1), 2)
     assert is_pure_gap(c59, (1, 2), places=[Place(1), Place(2)])
+    # P_inf is a Place, and is_discrepancy still takes it on either side
+    for p1, p2 in ((INFINITY, Place(1)), (Place(1), INFINITY)):
+        assert is_discrepancy(c59, Divisor(), p1, p2) is ref_is_discrepancy(c59, Divisor(), p1, p2)
 
 
 def test_box_scan_matches_full_box_scan(corpus):
