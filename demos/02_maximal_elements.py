@@ -13,8 +13,8 @@ from puregaps import (
     lambda_hat_box,
     lambda_star,
     relative_family,
-    translate_box,
 )
+from puregaps.reference import translate_box
 
 curve = KummerCurve(5, 9)
 n = 3

@@ -14,7 +14,6 @@ from .boxes import (
     compositions,
     family_cardinality,
     pure_gaps_from_family,
-    translate_box,
 )
 from .codes import (
     HERMITIAN_SUBCOVER_ROWS,
@@ -118,7 +117,6 @@ __all__ = [
     "relative_family",
     "relative_maximals_window_scan",
     "shorten",
-    "translate_box",
     "union_count",
     "verify_period",
 ]

@@ -7,10 +7,11 @@ the first axis by the zero-sum vector
 
     w_{k_2..k_n} = (-pi * sum k_i, k_2*pi, ..., k_n*pi).
 
-A MaximalFamily stores just those level boxes; translation, cardinality
-counting, and the greatest-lower-bound construction of pure gaps all run off
-that seed data.  Everything here is generic over the family content: nothing
-assumes Kummer closed forms.
+A MaximalFamily stores just those level boxes, the seeds.  This module holds
+the seeds, their count (family_cardinality) and the seed walk that gives the
+glbs of pure gaps (pure_gaps_from_family), and lists no translate: the test
+oracle puregaps.reference.translate_box lists them to check all three.
+Everything here is generic over the family content, not Kummer closed forms.
 
 The witness rule.  Relative maximal elements beta^1, ..., beta^n, each beta^l
 strictly below the others on coordinate l, have the glb d = (beta^1_1, ...,
@@ -112,20 +113,6 @@ class MaximalFamily(namedtuple("MaximalFamily", "period n box0", defaults=(None,
     @property
     def max_level(self) -> int:
         return max(self.box0, default=-1)
-
-
-def translate_box(family: MaximalFamily, ks: Sequence[int]) -> list[TupleZ]:
-    """The box of the family at indices (k_1, ..., k_n): level sum(ks) shifted by w.
-
-    Output tuples lie in prod_i [k_i*period, (k_i+1)*period).
-    """
-    ks = tuple(map(operator.index, ks))
-    if len(ks) != family.n:
-        raise ValueError(f"expected {family.n} box indices, got {len(ks)}")
-    if any(k < 0 for k in ks):
-        raise ValueError("box indices must be nonnegative")
-    w = (-family.period * sum(ks[1:]), *(k * family.period for k in ks[1:]))
-    return [tuple(a + b for a, b in zip(e, w)) for e in family.box(sum(ks))]
 
 
 def family_cardinality(family: MaximalFamily, genus: int) -> int:

@@ -206,6 +206,8 @@ def cmd_codes_table(args) -> int:
     if args.family == "norm-trace-like" and args.t is None:
         raise ValueError("the norm-trace-like family needs --t")
     curve, points = codes_mod.family_curve_points(args.family, args.q, args.m, args.t)
+    if args.n is not None:
+        maximals._require_places(curve, args.n)
 
     with_gaps = [n for n in range(2, curve.r + 1) if gapsets.max_level(curve, n) >= 0]
     ns = [args.n] if args.n is not None else with_gaps

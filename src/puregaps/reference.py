@@ -3,16 +3,19 @@
 Each one restates a quantity of the package by plain enumeration or straight
 from its definition, so it shares no code with the route it checks.  Among
 them are the permutation union of a level box, which lists the cells that
-``puregaps.gapsets`` counts and streams, and the glb walk over a list of
-relative maximal elements, which checks the family-seeded glb route of
-``puregaps.boxes``.  The package does not import this module;
-``import puregaps.reference`` loads it.
+``puregaps.gapsets`` counts and streams; the pure-gap count from the oracle's
+residue classes, which checks ``gapsets.pure_gap_count``; the translate
+listing of a maximal family, which checks the seeds of ``puregaps.boxes`` and
+their count; and the glb walk over a list of relative maximal elements, which
+checks the family-seeded glb route of ``puregaps.boxes``.  The package does
+not import this module; ``import puregaps.reference`` loads it.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import permutations, product
-from math import inf
+from math import comb, inf
 from typing import Iterable, Sequence
 
 
@@ -49,7 +52,7 @@ def union_count_bruteforce(bounds: Sequence[int]) -> int:
     Independent oracle for gapsets.union_count; limited to n <= 5 and bounds
     <= 8 to keep the enumeration budget explicit.
     """
-    a = tuple(int(x) for x in bounds)
+    a = tuple(map(operator.index, bounds))
     n = len(a)
     if n < 1:
         raise ValueError("need at least one bound")
@@ -58,6 +61,56 @@ def union_count_bruteforce(bounds: Sequence[int]) -> int:
     if n > 5 or a[0] > 8:
         raise ValueError(f"enumeration budget exceeded for bounds {a} (n <= 5, max 8)")
     return len(permutation_union(a))
+
+
+def class_level_count(curve, n: int, level: int) -> int:
+    """N_K: the residue tuples (u_1, ..., u_n) of the pure gaps at level K = sum c_j.
+
+    Write alpha_j = c_j*m + u_j with 0 <= u_j < m.  By the class formula of
+    riemann_roch, alpha is a pure gap iff every u_j >= 1 and, for every i,
+    #{j : u_j >= u_i} <= -(l_{m-u_i}(0) + K), the cap of the value u_i.  The
+    tuples are counted by a DP over the values v = m-1 down to 1, whose state j
+    counts the coordinates already placed at values above v: placing c >= 1
+    more at v weighs C(n - j, c) and needs j + c within v's cap.
+    """
+    m = curve.m
+    ell0 = per_residue_literal(m, curve.r, {}, 0)
+    ways = [1] + [0] * n  # ways[j]: the placements of j coordinates above v
+    for v in range(m - 1, 0, -1):
+        cap = min(n, -(ell0[m - v] + level))
+        step = list(ways)
+        for j, w in enumerate(ways):
+            for c in range(1, cap - j + 1):
+                step[j + c] += w * comb(n - j, c)
+        ways = step
+    return ways[n]
+
+
+def class_count(curve, n: int) -> int:
+    """The number of pure gaps at n places, sum_K C(K + n - 1, n - 1) * N_K.
+
+    N_K is class_level_count.  The caps fall as K grows, so the first empty
+    level ends the sum.  Independent oracle for gapsets.pure_gap_count: it
+    reads only l_s(0), not the level boxes or their union recursion.
+    """
+    total, level = 0, 0
+    while tuples := class_level_count(curve, n, level):
+        total += comb(level + n - 1, n - 1) * tuples
+        level += 1
+    return total
+
+
+def translate_box(family, ks: Sequence[int]) -> list[tuple[int, ...]]:
+    """The box of a MaximalFamily at indices (k_1, ..., k_n): level sum(ks) shifted by w.
+
+    w = (-pi*(k_2 + ... + k_n), k_2*pi, ..., k_n*pi), so the tuples lie in
+    prod_i [k_i*pi, (k_i+1)*pi).  Listed over every composition of every
+    level, the boxes are the whole maximal set: the oracle for the seeds of
+    boxes, family_cardinality and boxes.pure_gaps_from_family.
+    """
+    pi = family.period
+    w = (-pi * sum(ks[1:]), *(pi * k for k in ks[1:]))
+    return [tuple(map(operator.add, e, w)) for e in family.box(sum(ks))]
 
 
 def permutation_closed(tuples: Iterable[Sequence[int]]) -> bool:

@@ -38,11 +38,15 @@ from puregaps import (
     pure_gaps_from_family,
     relative_family,
     relative_maximals_window_scan,
-    translate_box,
     union_count,
     verify_period,
 )
-from puregaps.reference import permutation_closed, permutation_union, union_count_bruteforce
+from puregaps.reference import (
+    permutation_closed,
+    permutation_union,
+    translate_box,
+    union_count_bruteforce,
+)
 
 CORPUS = small_curves(max_genus=10)
 

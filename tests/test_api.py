@@ -81,7 +81,6 @@ API = [
     "relative_family",
     "relative_maximals_window_scan",
     "shorten",
-    "translate_box",
     "union_count",
     "verify_period",
 ]

@@ -29,6 +29,7 @@ from puregaps import (
 )
 from puregaps.cli import main
 from puregaps.codes import family_curve_points
+from test_cli_transcript import CODES_INSTANCES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -367,6 +368,18 @@ def test_codes_table_requires_t(capsys):
 def test_codes_table_check_order(capsys, flags, line):
     code, out, err = run(capsys, "codes", "table", *flags)
     assert code == 2 and out == "" and err == line + "\n"
+
+
+@pytest.mark.parametrize("family, q, m, t", CODES_INSTANCES)
+def test_codes_table_n_outside_the_places_exits_3(capsys, family, q, m, t):
+    # checked before any level: n = 1 exits 3 with --k too, and n = r + 1 prints no bare header
+    r = family_curve_points(family, q, m, t)[0].r
+    flags = ["codes", "table", "--family", family, "--q", str(q), "--m", str(m)]
+    flags += [] if t is None else ["--t", str(t)]
+    for n in (1, r + 1):
+        line = f"error: need 2 <= n <= r = {r} branch places, got n={n}\n"
+        for k in ([], ["--k", "0"], ["--k", "3"]):
+            assert run(capsys, *flags, "--n", str(n), *k) == (3, "", line)
 
 
 def test_plot_data_schema(capsys):

@@ -9,7 +9,8 @@ output change, re-record the digests with
 
     PYTHONPATH=src python tests/test_cli_transcript.py
 
-and name the lines that moved, and why, in the change description.
+which prints the count and the argv of every call whose digest moved; name
+those lines, and why they moved, in the change description.
 """
 
 import contextlib
@@ -159,5 +160,9 @@ def test_cli_transcript_is_byte_identical(monkeypatch):
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
-    DIGESTS.write_text("".join(line + "\n" for line in lines()))
-    print(f"{DIGESTS}: {len(transcript())} calls", file=sys.stderr)
+    got = lines()
+    want = DIGESTS.read_text().splitlines() if DIGESTS.exists() else []
+    moved = [g.split(" ", 1)[1] for i, g in enumerate(got) if want[i : i + 1] != [g]]
+    print(f"{len(moved)} calls moved:", *moved, sep="\n  ", file=sys.stderr)
+    DIGESTS.write_text("".join(line + "\n" for line in got))
+    print(f"{DIGESTS}: {len(got)} calls", file=sys.stderr)

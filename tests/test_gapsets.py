@@ -22,7 +22,13 @@ from puregaps import (
     union_count,
 )
 from puregaps.gapsets import _BlockWalk, _level_bounds, pure_gap_blocks
-from puregaps.reference import permutation_closed, permutation_union, union_count_bruteforce
+from puregaps.reference import (
+    class_count,
+    class_level_count,
+    permutation_closed,
+    permutation_union,
+    union_count_bruteforce,
+)
 
 C34 = KummerCurve(3, 4)
 C59 = KummerCurve(5, 9)
@@ -257,6 +263,9 @@ def test_union_count_bruteforce_budget():
         union_count_bruteforce((1, 2))  # not non-increasing
     with pytest.raises(ValueError):
         union_count_bruteforce((2, 0))
+    for bounds in [("3", "2"), (2.5, 1)]:
+        with pytest.raises(TypeError):
+            union_count_bruteforce(bounds)  # as union_count: not 8 by parsing, not 3 by truncation
 
 
 def test_permutation_union_lists_the_union_count(corpus):
@@ -336,6 +345,39 @@ def test_multiple_plus_one_count():
         with pytest.raises(TypeError):
             pure_gap_count_multiple_plus_one(c54, n, u)
     assert pure_gap_count_multiple_plus_one(c54, 2, True) == 14
+
+
+def test_class_count_matches_pure_gap_count():
+    cases = 0
+    for m in range(2, 14):
+        for r in range(2, 14):
+            if gcd(m, r) == 1:
+                curve = KummerCurve(m, r)
+                for n in range(2, r + 1):
+                    assert class_count(curve, n) == pure_gap_count(curve, n), (m, r, n)
+                    cases += 1
+    assert cases == 603
+
+
+@pytest.mark.parametrize(
+    "m, r, n, u", [(41, 40, 16, 1), (41, 40, 20, 1), (41, 40, 39, 1), (83, 41, 16, 2)]
+)
+def test_class_count_matches_multiple_plus_one(m, r, n, u):
+    curve = KummerCurve(m, r)
+    assert class_count(curve, n) == pure_gap_count_multiple_plus_one(curve, n, u)
+
+
+def test_class_level_count_is_the_level_union_count(corpus):
+    levels = 0
+    for curve in corpus:
+        for n in range(2, curve.r + 1):
+            top = max_level(curve, n)
+            for k in range(top + 1):
+                want = union_count(b_k(curve, n, k).bounds)
+                assert class_level_count(curve, n, k) == want, (curve, n, k)
+                levels += 1
+            assert class_level_count(curve, n, max(top + 1, 0)) == 0, (curve, n)
+    assert levels == 258
 
 
 def test_permutation_closure_of_pure_gaps(corpus):

@@ -16,9 +16,9 @@ from puregaps import (
     lambda_hat_box,
     lambda_star,
     relative_family,
-    translate_box,
 )
 from puregaps.cli import main
+from puregaps.reference import translate_box
 
 C34 = KummerCurve(3, 4)
 C59 = KummerCurve(5, 9)
