@@ -57,17 +57,6 @@ def _places_count(args, curve: KummerCurve) -> tuple[int, list[int]]:
     return n, list(range(1, n + 1))
 
 
-def _emit_tuples(tuples, fmt: str) -> None:
-    """One tuple a line, space-separated (text) or comma-separated (csv).
-
-    All tuples of one call have the same length, so one %-format serves them all.
-    """
-    if not tuples:
-        return
-    line = ("," if fmt == "csv" else " ").join(["%s"] * len(tuples[0])) + "\n"
-    sys.stdout.writelines(map(line.__mod__, tuples))
-
-
 def _emit_pure_gaps(curve: KummerCurve, n: int, fmt: str) -> None:
     """The pure-gap stream in text, csv or JSON, rendered a block at a time.
 
@@ -166,13 +155,15 @@ def cmd_maximals(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
     else:
-        _emit_tuples(elems, args.format)
+        sep = "," if args.format == "csv" else " "
+        sys.stdout.writelines(sep.join(map(str, t)) + "\n" for t in elems)
     return 0
 
 
 def cmd_verify(args) -> int:
     curve = _curve_from(args)
     n, idx = _places_count(args, curve)
+    maximals._require_places(curve, n)
     places = tuple(curve.place(j) for j in idx)
     box = args.max_box if args.max_box is not None else 2 * curve.genus
 

@@ -1,14 +1,15 @@
 """Differential AG-code parameter design from pure-gap boxes.
 
-A level-k cell of pure gaps with offsets a in B_k yields the one-point-per-
-place divisor
+A level-k cell of pure gaps with offsets a in B_k (bounds b_j = m -
+ceil(m*(k+j)/r)) yields the one-point-per-place divisor
 
-    G = sum_j (2*k_j*m + a_j + m - 1 - ceil(m*(k+j)/r)) * P_j,
+    G = sum_j (2*k_j*m + a_j - 1 + b_j) * P_j,    deg G = 2*k*m + sum(a) - n + sum(b),
 
-whose code has dimension given by the genus-degree count and a minimum
-distance floor improved by the width of the pure-gap box between a and the
-box bounds.  Only parameters are designed here: no generator matrices, no
-field arithmetic, no encoding.
+for any partition k_1 + ... + k_n = k.  The design is the Goppa parameters of
+G (dimension N - deg G - 1 + g, distance floor deg G - (2g - 2)) with the
+floor raised by the width n + sum(b) - sum(a) of the pure-gap box between a
+and b.  So a cell is read only through k, sum(a) and sum(b).  Only parameters
+are designed here: no generator matrices, no field arithmetic, no encoding.
 """
 
 from __future__ import annotations
@@ -72,7 +73,9 @@ def _params(length: int, dimension: int, distance_lb: int, degree: int) -> CodeP
     return CodeParams(length, dimension, d, degree, Fraction(dimension + d, length), clamped)
 
 
-def _check_window(degree: int, genus: int, length: int) -> None:
+def goppa_params(length: int, degree: int, genus: int) -> tuple[int, int]:
+    """Goppa (N - deg(G) - 1 + g, deg(G) - (2g-2)); DegreeWindowError unless 2g-2 < deg G < N."""
+    length, degree, genus = operator.index(length), operator.index(degree), operator.index(genus)
     if degree <= 2 * genus - 2:
         raise DegreeWindowError(
             f"deg(G) = {degree} must exceed 2g-2 = {2 * genus - 2}", degree, "lower"
@@ -81,32 +84,23 @@ def _check_window(degree: int, genus: int, length: int) -> None:
         raise DegreeWindowError(
             f"deg(G) = {degree} must stay below N = {length}", degree, "upper"
         )
-
-
-def goppa_params(length: int, degree: int, genus: int) -> tuple[int, int]:
-    """Baseline dimension and distance floor: (N - deg(G) - 1 + g, deg(G) - (2g-2))."""
-    _check_window(operator.index(degree), operator.index(genus), operator.index(length))
     return length - degree - 1 + genus, degree - (2 * genus - 2)
 
 
 def design_code(spec: CodeSpec) -> CodeParams:
     """Parameters of the differential code built on the spec's pure-gap cell."""
     bounds = _box_bounds(spec.curve, spec.k, spec.n)
-    return _design(spec.curve, spec.k, spec.partition, spec.a, bounds, spec.length)
+    return _design(spec.curve, spec.k, sum(spec.a), bounds, spec.length)
 
 
 def _design(
-    curve: KummerCurve, k: int, partition: tuple[int, ...], a: tuple[int, ...],
-    bounds: Sequence[int], length: int,
+    curve: KummerCurve, k: int, a_sum: int, bounds: Sequence[int], length: int
 ) -> CodeParams:
-    """design_code on a checked cell: bounds are those of the level-k box, and a lies in it."""
-    m, r, g = curve.m, curve.r, curve.genus
-    # ceil(m*(k+j)/r) = m - b_j
-    degree = sum(2 * kj * m + aj - 1 + bj for kj, aj, bj in zip(partition, a, bounds))
-    _check_window(degree, g, length)
-    dimension = length + len(bounds) - 2 * k * m - 1 + g - sum(a) - sum(bounds)
-    distance = 2 * k * m - m * r + m + r + 1 + 2 * sum(bounds)
-    return _params(length, dimension, distance, degree)
+    """design_code on a checked cell: the level-k box bounds, and n <= a_sum <= sum(bounds)."""
+    n, b_sum = len(bounds), sum(bounds)
+    degree = 2 * k * curve.m + a_sum - n + b_sum
+    dimension, floor = goppa_params(length, degree, curve.genus)
+    return _params(length, dimension, floor + n + b_sum - a_sum, degree)
 
 
 def shorten(params: CodeParams, s: int) -> CodeParams:
@@ -115,13 +109,10 @@ def shorten(params: CodeParams, s: int) -> CodeParams:
         raise ValueError("can only shorten by a nonnegative number of coordinates")
     if s >= params.dimension:
         raise ValueError(f"cannot shorten {s} coordinates out of dimension {params.dimension}")
-    return CodeParams(
-        params.length - s,
-        params.dimension - s,
-        params.distance_lb,
-        params.degree,
-        Fraction(params.dimension - s + params.distance_lb, params.length - s),
-        params.clamped,
+    return params._replace(
+        length=params.length - s,
+        dimension=params.dimension - s,
+        rate_sum=Fraction(params.dimension - s + params.distance_lb, params.length - s),
     )
 
 
@@ -188,42 +179,23 @@ NORM_TRACE_LIKE_ROWS = (
 )
 
 
-def _offsets_with_sum(box: BkBox, target: int) -> tuple[int, ...]:
-    """The lexicographically first vector of prod_j [1, b_j] with coordinate sum target.
-
-    Each a_i is as small as the later coordinates allow when filled up to
-    their bounds: a_i = max(1, target - (a_1 + ... + a_{i-1}) - sum_{j>i} b_j).
-    A nonempty level has every bound >= 1, so every sum from n to sum(b) occurs.
-    """
-    bounds = box.bounds
-    if box.empty or not len(bounds) <= target <= sum(bounds):
-        raise ValueError(f"no offset vector in the level-{box.level} box sums to {target}")
-    out = []
-    rest = sum(bounds)
-    for b in bounds:
-        rest -= b
-        out.append(max(1, target - rest))
-        target -= out[-1]
-    return tuple(out)
-
-
 def _cell_rows(
     spec: TableRowSpec, curve: KummerCurve, points: int, box: BkBox, sweep: bool = False
 ) -> list[dict]:
     """The rows of one cell: spec.n places at level spec.k, box = b_k(curve, spec.n, spec.k).
 
-    One row per offset sum in spec.a_values.  A sweep skips the sums whose
+    One row per offset sum in spec.a_values.  The offsets of a nonempty box
+    (every bound >= 1) sum to each of n, ..., sum(b) and nothing else; other
+    sums, or an empty box, raise ValueError.  A sweep skips the sums whose
     degree leaves the code window instead of raising DegreeWindowError.
-    _offsets_with_sum refuses an empty box and keeps the offsets inside it,
-    so the rows meet CodeSpec's checks without building the box again.
     """
     length = points - spec.n
-    partition = (spec.k,) + (0,) * (spec.n - 1)
     rows = []
-    for a_sum in spec.a_values:
-        a = _offsets_with_sum(box, a_sum)
+    for a_sum in map(operator.index, spec.a_values):
+        if box.empty or not spec.n <= a_sum <= sum(box.bounds):
+            raise ValueError(f"no offset vector in the level-{box.level} box sums to {a_sum}")
         try:
-            params = _design(curve, spec.k, partition, a, box.bounds, length)
+            params = _design(curve, spec.k, a_sum, box.bounds, length)
         except DegreeWindowError:
             if sweep:
                 continue

@@ -6,17 +6,21 @@ them are the permutation union of a level box, which lists the cells that
 ``puregaps.gapsets`` counts and streams; the pure-gap count from the oracle's
 residue classes, which checks ``gapsets.pure_gap_count``; the translate
 listing of a maximal family, which checks the seeds of ``puregaps.boxes`` and
-their count; and the glb walk over a list of relative maximal elements, which
-checks the family-seeded glb route of ``puregaps.boxes``.  The package does
-not import this module; ``import puregaps.reference`` loads it.
+their count; the glb walk over a list of relative maximal elements, which
+checks the family-seeded glb route of ``puregaps.boxes``; and the semigroup
+at n places as lubs of closed-form generators, which checks the generating
+theorem against the oracle's membership test.  The package does not import
+this module; ``import puregaps.reference`` loads it.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, inf
 from typing import Iterable, Sequence
+
+from .maximals import gamma_star, h_one_place
 
 
 def per_residue_literal(m: int, r: int, coeffs: dict[int, int], a_inf: int) -> list[int]:
@@ -111,6 +115,35 @@ def translate_box(family, ks: Sequence[int]) -> list[tuple[int, ...]]:
     pi = family.period
     w = (-pi * sum(ks[1:]), *(pi * k for k in ks[1:]))
     return [tuple(map(operator.add, e, w)) for e in family.box(sum(ks))]
+
+
+def semigroup_by_lubs(curve, n: int, box: int) -> list[tuple[int, ...]]:
+    """The semigroup at P_1, ..., P_n inside [0, box]^n, as lubs of at most n generators.
+
+    The generators are 0; at each single place, the nonzero elements of the
+    one-place semigroup (the complement of h_one_place's gaps); and on each
+    set of at least two places, the positive absolute maximal elements
+    gamma_star(curve, size); all padded with zeros and clipped to the box.  By
+    the generating theorem each member is the lub (coordinatewise max) of n of
+    them, so n - 1 rounds of lubs with the generators reach every member.
+    Independent check of gamma_star and h_one_place against the oracle's
+    riemann_roch.in_generalized_semigroup, which reads neither.
+    """
+    gaps = set(h_one_place(curve).gaps)
+    one_place = [(v,) for v in range(1, box + 1) if v not in gaps]
+    gens = {(0,) * n}
+    for size in range(1, n + 1):
+        elems = one_place if size == 1 else [e for e in gamma_star(curve, size) if max(e) <= box]
+        for where in combinations(range(n), size):
+            for e in elems:
+                t = [0] * n
+                for j, v in zip(where, e):
+                    t[j] = v
+                gens.add(tuple(t))
+    found = set(gens)
+    for _ in range(n - 1):
+        found = {tuple(map(max, a, b)) for a in found for b in gens}
+    return sorted(found)
 
 
 def permutation_closed(tuples: Iterable[Sequence[int]]) -> bool:

@@ -271,6 +271,17 @@ def test_verify_with_places_subset(capsys):
     assert code == 0 and "OK" in out
 
 
+@pytest.mark.parametrize("m, r", [(3, 4), (5, 9)])
+def test_verify_n_outside_the_places_exits_3(capsys, m, r):
+    # the place-count check of pure-gaps, maximals and codes table, before any place is built
+    curve = ["--m", str(m), "--r", str(r)]
+    for n in (1, r + 1):
+        line = f"error: need 2 <= n <= r = {r} branch places, got n={n}\n"
+        for box in ([], ["--max-box", "2", "--format", "json"]):
+            assert run(capsys, "verify", *curve, "--n", str(n), *box) == (3, "", line)
+        assert run(capsys, "pure-gaps", *curve, "--n", str(n)) == (3, "", line)
+
+
 def test_maximals_star_and_box(capsys):
     code, out, _ = run(capsys, "maximals", "--m", "3", "--r", "4", "--n", "2", "--kind", "relative")
     assert code == 0 and out.splitlines() == ["1 4", "2 2", "4 1"]

@@ -11,6 +11,7 @@ from puregaps import (
     CodeSpec,
     DegreeWindowError,
     KummerCurve,
+    TableRowSpec,
     b_k,
     design_code,
     generate_tables,
@@ -23,7 +24,7 @@ from puregaps import (
 )
 from puregaps import codes, gapsets
 from puregaps.cli import main
-from puregaps.codes import _offsets_with_sum, _params, family_curve_points
+from puregaps.codes import _params, family_curve_points
 from puregaps.reference import carvalho_torres_bound
 
 DATA = Path(__file__).parent / "data"
@@ -122,16 +123,17 @@ def test_design_matches_component_bounds():
     # dimension via the genus-degree count, distance via the pure-gap interval bound
     for curve, n, length in DESIGN_CASES:
         m, r, g = curve.m, curve.r, curve.genus
-        from puregaps import max_level
-
+        by_sum = {}  # a cell is read through its offset sum alone
         for k in range(max_level(curve, n) + 1):
             box = b_k(curve, n, k)
             for a in product(*(range(1, b + 1) for b in box.bounds)):
                 partition = (k,) + (0,) * (n - 1)
                 try:
                     got = design_code(CodeSpec(curve, n, k, partition, a, length))
-                except DegreeWindowError:
+                except DegreeWindowError as err:
+                    assert by_sum.setdefault((k, sum(a)), err.side) == err.side
                     continue
+                assert by_sum.setdefault((k, sum(a)), got) == got, (curve, n, k, a)
                 kdim, d_plain = goppa_params(length, got.degree, g)
                 assert got.dimension == kdim
                 alpha = tuple(p * m + x for p, x in zip(partition, a))
@@ -184,6 +186,9 @@ def test_shorten():
     long = CodeParams(510, 489, 30, 80, Fraction(519, 510))
     got = shorten(long, 110)
     assert (got.length, got.dimension, got.distance_lb) == (400, 379, 30)
+    clamped = _params(100, 90, -3, 50)
+    got = shorten(clamped, 10)
+    assert got == CodeParams(90, 80, 1, 50, Fraction(81, 90), True) and got.clamped
     with pytest.raises(ValueError):
         shorten(base, 338)
     with pytest.raises(ValueError):
@@ -247,25 +252,42 @@ def test_tables_reproduce_fixtures_exactly():
     assert got2 == (DATA / "table2.csv").read_text()
 
 
-def test_offsets_with_sum_is_the_first_box_vector_with_that_sum():
-    def scanned(curve, n, k, target):  # the lexicographic box scan the closed form replaced
-        for a in product(*(range(1, b + 1) for b in b_k(curve, n, k).bounds)):
-            if sum(a) == target:
-                return a
-        return None
+def test_table_rows_design_the_first_box_vector_with_each_sum():
+    # a one-sum row is refused exactly when no box vector has the sum, and is otherwise the
+    # design of the lexicographically first such vector at partition (k, 0, ..., 0)
+    def outcome(call):
+        try:
+            return [(p.length, p.dimension, p.distance_lb, p.degree, p.rate_sum) for p in call()]
+        except DegreeWindowError as err:
+            return err.side, err.degree
 
     for spec in HERMITIAN_SUBCOVER_ROWS + NORM_TRACE_LIKE_ROWS:
-        curve, _ = family_curve_points(spec.family, spec.q, spec.m, spec.t)
+        curve, points = family_curve_points(spec.family, spec.q, spec.m, spec.t)
         for n in range(2, min(curve.r, 5) + 1):
             for k in range(max_level(curve, n) + 2):  # one level past the last is empty
                 box = b_k(curve, n, k)
+                first = {}
+                for a in product(*(range(1, b + 1) for b in box.bounds)):
+                    first.setdefault(sum(a), a)
                 for target in range(n - 1, max(sum(box.bounds), n) + 2):
-                    want = scanned(curve, n, k, target)
-                    if want is None:
-                        with pytest.raises(ValueError):
-                            _offsets_with_sum(box, target)
-                    else:
-                        assert _offsets_with_sum(box, target) == want
+                    row = TableRowSpec(spec.family, spec.q, spec.m, n, k, (target,), spec.t)
+                    if target not in first:
+                        with pytest.raises(ValueError, match=f"sums to {target}$"):
+                            generate_tables([row])
+                        continue
+                    got = outcome(lambda: [
+                        CodeParams(d["N"], d["kdim"], d["dlb"], d["degG"], Fraction(d["ratesum"]))
+                        for d in generate_tables([row])
+                    ])
+                    partition = (k,) + (0,) * (n - 1)
+                    spec_a = CodeSpec(curve, n, k, partition, first[target], points - n)
+                    assert got == outcome(lambda: [design_code(spec_a)]), (spec, n, k, target)
+
+
+def test_table_rows_refuse_a_float_offset_sum():
+    for k, a_values in [(1, (2.5,)), (2, (2.5,)), (3, (2.0,)), (3, (2, 3.0))]:
+        with pytest.raises(TypeError):
+            generate_tables([TableRowSpec("hermitian-subcover", 7, 4, 2, k, a_values)])
 
 
 def test_generate_tables_empty():

@@ -1,6 +1,8 @@
 """The documentation runs as written: the demo scripts, and the README examples as printed."""
 
+import argparse
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from puregaps.cli import main
+from puregaps.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -56,3 +58,36 @@ def test_readme_quick_start(capsys):
     assert len(printed) == 4
     exec(code, {})
     assert capsys.readouterr().out.splitlines() == printed
+
+
+def leaf_parsers(parser, verb=""):
+    """(verb, parser) for every verb of the CLI, "codes table" included."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield verb.strip(), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from leaf_parsers(sub, f"{verb} {name}")
+
+
+def test_readme_synopsis_lists_every_flag():
+    # each option of each verb is on its synopsis entry or on the shared-flags line after it
+    entries = {}
+    for line in fenced_block("## Command line", "").splitlines():
+        if line.startswith("puregaps "):
+            verb = line.split(" --")[0].split(None, 1)[1].strip()
+            entries[verb] = line
+        else:
+            entries[verb] += line
+    shared = next((line for line in README.splitlines() if line.startswith("Every verb but")), "")
+    verbs = dict(leaf_parsers(build_parser()))
+    assert set(entries) == set(verbs)
+    missing = [
+        (verb, opt)
+        for verb, parser in verbs.items()
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt not in ("-h", "--help")
+        and not any(re.search(rf"(?<![\w-]){opt}(?![\w-])", text) for text in (entries[verb], shared))
+    ]
+    assert not missing

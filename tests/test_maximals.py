@@ -1,4 +1,5 @@
 import json
+from itertools import product
 from math import comb, gcd
 
 import pytest
@@ -11,6 +12,7 @@ from puregaps import (
     gamma_hat_box,
     gamma_star,
     h_one_place,
+    in_generalized_semigroup,
     is_absolute_maximal,
     is_relative_maximal,
     lambda_hat_box,
@@ -18,7 +20,7 @@ from puregaps import (
     relative_family,
 )
 from puregaps.cli import main
-from puregaps.reference import translate_box
+from puregaps.reference import semigroup_by_lubs, translate_box
 
 C34 = KummerCurve(3, 4)
 C59 = KummerCurve(5, 9)
@@ -189,5 +191,32 @@ def test_window_boundary_sweep(capsys):
                     code = main(argv + ["--max-box", "1", "--format", "json"])
                     out = capsys.readouterr().out
                     routes = json.loads(out)["routes"] if n <= r else {}
-                    assert code == (0 if n <= r else 2), (m, r, n)
+                    assert code == (0 if n <= r else 3), (m, r, n)  # n = r + 1: a domain error
                     assert ("glb" in routes) == inside, (m, r, n)
+
+
+def lub_cases(corpus):
+    """(curve, n, box) over the genus <= 10 corpus: n = 2..min(r, 4), boxes 2g, min(2g, 8), min(2g, 5)."""
+    for curve in corpus:
+        g = curve.genus
+        for n in range(2, min(curve.r, 4) + 1):
+            yield curve, n, min(2 * g, {2: 2 * g, 3: 8, 4: 5}[n])
+
+
+def test_semigroup_is_the_lubs_of_absolute_maximals(corpus):
+    # the generating theorem: every member of the semigroup is a lub of n generators
+    for curve, n, box in lub_cases(corpus):
+        members = [t for t in product(range(box + 1), repeat=n) if in_generalized_semigroup(curve, t)]
+        assert semigroup_by_lubs(curve, n, box) == members, (curve, n, box)
+
+
+def test_semigroup_membership_reads_only_the_support(corpus):
+    # a tuple with zero coordinates is a member iff its restriction to its support is
+    for curve, n, box in lub_cases(corpus):
+        for t in product(range(box + 1), repeat=n):
+            support = [j for j, v in enumerate(t) if v]
+            if len(support) == n:
+                continue
+            places = tuple(curve.place(j + 1) for j in support)
+            restricted = not support or in_generalized_semigroup(curve, [t[j] for j in support], places)
+            assert in_generalized_semigroup(curve, t) == restricted, (curve, t)
