@@ -28,9 +28,9 @@ from .gapsets import BkBox, _box_bounds, b_k
 class CodeSpec(namedtuple("CodeSpec", "curve n k partition a length")):
     """Inputs of one design: curve, places used, cell, offsets, and code length.
 
-    partition splits the level k across the n places; a must lie in the level
-    box B_k.  length is the number of rational points used as evaluation
-    places (all rational points minus the n code places).
+    a lies in the level box B_k; partition splits k over the n places and is
+    validated, but the design reads the cell only through k and sum(a).  length
+    counts the evaluation places: all rational points but the n code places.
     """
 
     __slots__ = ()
@@ -105,6 +105,7 @@ def _design(
 
 def shorten(params: CodeParams, s: int) -> CodeParams:
     """The [N-s, k-s, d] code obtained by shortening s coordinates."""
+    s = operator.index(s)
     if s < 0:
         raise ValueError("can only shorten by a nonnegative number of coordinates")
     if s >= params.dimension:

@@ -213,7 +213,7 @@ class KummerCurve(namedtuple("KummerCurve", "m r lam", defaults=(1,))):
 
     def canonical_divisor(self) -> Divisor:
         """(2g-2) * P_infinity, which equals (rm - r - m - 1) * P_infinity."""
-        return Divisor({INFINITY: 2 * self.genus - 2})
+        return _wrap({INFINITY: 2 * self.genus - 2} if self.genus > 1 else {})
 
     def to_json(self) -> dict:
         return {"m": self.m, "r": self.r, "lambda": self.lam, "genus": self.genus}

@@ -19,10 +19,10 @@ holds on randomized divisor suites (see the tests).  Everything else in the
 module reduces membership questions (semigroup, gap, pure gap, maximality,
 discrepancy, period) to the classes l_s.
 
-For 0 <= s < m, (a + s)//m = a//m + [s >= m - a mod m], so each branch
-coefficient adds a//m to every class and one more to the classes from
-m - a mod m on.  ell buckets these steps and sums them in one pass, in
-O(m + |supp D|) rather than O(m * |supp D|).
+For 0 <= s < m, (a + s)//m = (a - 1)//m + [s >= -a mod m], so each branch
+coefficient adds (a - 1)//m to every class and one more to the classes from
+-a mod m on.  ell reads each coefficient of D once, buckets these steps and
+sums the classes, in O(m + |supp D|) rather than O(m * |supp D|).
 
 Lowering one place by one lowers exactly one class by one: P_j lowers the
 s with a_j + s a multiple of m, s = (-a_j) mod m, and P_inf lowers the s with
@@ -52,9 +52,9 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .curves import Divisor, KummerCurve, Place
+from .curves import INFINITY, Divisor, KummerCurve, Place
 from .errors import PeriodSearchError
 
 
@@ -68,38 +68,38 @@ class EllResult(namedtuple("EllResult", "dim per_residue")):
     __slots__ = ()
 
 
-def _per_residue(m: int, r: int, coeffs: dict[int, int], a_inf: int) -> list[int]:
+def _per_residue(m: int, r: int, coeffs: dict[Place, int]) -> tuple[int, list[int]]:
+    # ell(D) and [l_0, ..., l_{m-1}], reading the place-keyed coefficients of D once.
     # ceil((-a-s)/m) = -((a+s)//m).  steps[s] counts the branch terms (a + s)//m
     # that step up at class s (see the module docstring); level is l_s less its
     # P_inf term.
     steps = [0] * m
     level = 1
-    for c in coeffs.values():
-        level += c // m
-        t = c % m
-        if t:
-            steps[m - t] += 1
+    a_inf = 0
+    for place, c in coeffs.items():
+        j = place.index
+        if j > r:
+            raise _off_curve(r, coeffs)
+        if j:
+            level += (c - 1) // m
+            steps[-c % m] += 1
+        else:
+            a_inf = c
+    dim = 0
     out = []
     for step in steps:
         level += step
-        out.append(a_inf // m + level)
+        v = a_inf // m + level
+        out.append(v)
+        if v > 0:
+            dim += v
         a_inf -= r  # a_inf - s*r for the next class s
-    return out
+    return dim, out
 
 
-def _off_curve(curve: KummerCurve, place: Place) -> ValueError:
-    return ValueError(
-        f"divisor supported on {place}, but the curve has only r={curve.r} branch places"
-    )
-
-
-def _split_divisor(curve: KummerCurve, div: Divisor) -> tuple[dict[int, int], int]:
-    """The branch coefficients of div by index, and its P_inf coefficient."""
-    coeffs = {p.index: c for p, c in div._coeffs.items()}
-    a_inf = coeffs.pop(0, 0)
-    if coeffs and max(coeffs) > curve.r:
-        raise _off_curve(curve, Place(min(j for j in coeffs if j > curve.r)))
-    return coeffs, a_inf
+def _off_curve(r: int, places: Iterable[Place]) -> ValueError:
+    place = min(p for p in places if p.index > r)
+    return ValueError(f"divisor supported on {place}, but the curve has only r={r} branch places")
 
 
 def ell(curve: KummerCurve, div: Divisor) -> EllResult:
@@ -107,8 +107,8 @@ def ell(curve: KummerCurve, div: Divisor) -> EllResult:
 
     D must be supported on the branch places P_1..P_r and P_infinity.
     """
-    per = _per_residue(curve.m, curve.r, *_split_divisor(curve, div))
-    return EllResult(sum([v for v in per if v > 0]), tuple(per))
+    dim, per = _per_residue(curve.m, curve.r, div._coeffs)
+    return EllResult(dim, tuple(per))
 
 
 def _check_places(curve: KummerCurve, places: Sequence[Place] | None, n: int) -> None:
@@ -236,16 +236,15 @@ def is_relative_maximal(
     return _holds(_relative, curve, alpha, places)
 
 
-def _lowered_class(curve: KummerCurve, place: Place, coeffs: dict[int, int], a_inf: int) -> int:
-    """The class s whose l_s falls by one when place is lowered by one in (coeffs, a_inf)."""
-    m = curve.m
+def _lowered_class(curve: KummerCurve, place: Place, coeffs: dict[Place, int], a_inf: int) -> int:
+    """The class s whose l_s falls by one when place is lowered by one in coeffs."""
     if not isinstance(place, Place):
         raise TypeError(f"places must be Place objects, got {place!r}")
     if place.is_infinity:
-        return a_inf * pow(curve.r, -1, m) % m
+        return a_inf * pow(curve.r, -1, curve.m) % curve.m
     if place.index > curve.r:
-        raise _off_curve(curve, place)
-    return -coeffs.get(place.index, 0) % m
+        raise _off_curve(curve.r, (place,))
+    return -coeffs.get(place, 0) % curve.m
 
 
 def is_discrepancy(curve: KummerCurve, div: Divisor, p1: Place, p2: Place) -> bool:
@@ -258,14 +257,14 @@ def is_discrepancy(curve: KummerCurve, div: Divisor, p1: Place, p2: Place) -> bo
     """
     if p1 == p2:
         raise ValueError("discrepancy needs two distinct places")
-    coeffs, a_inf = _split_divisor(curve, div)
+    m, r, coeffs = curve.m, curve.r, div._coeffs
+    if max(coeffs, default=INFINITY).index > r:
+        raise _off_curve(r, coeffs)
+    a_inf = coeffs.get(INFINITY, 0)
     s = _lowered_class(curve, p1, coeffs, a_inf)  # checks p1 and p2, even off the support
     if _lowered_class(curve, p2, coeffs, a_inf) != s:
         return False
-    m = curve.m
-    ls = (a_inf - s * curve.r) // m + 1
-    for c in coeffs.values():
-        ls += (c + s) // m
+    ls = (a_inf - s * r) // m + 1 + sum((c + s) // m for p, c in coeffs.items() if p.index)
     return ls == 1
 
 
@@ -286,7 +285,7 @@ def verify_period(
     if bound is None:
         bound = 2 * curve.genus + curve.m
     m = curve.m
-    per = _per_residue(m, curve.r, {}, 0)  # the classes of k = 0, where ell = 1
+    per = _per_residue(m, curve.r, {})[1]  # the classes of k = 0, where ell = 1
     dim = 1
     for k in range(1, bound + 1):
         up, down = -k % m, (k - 1) % m  # P_i rises to k, P_j falls to -k
@@ -370,7 +369,7 @@ def pure_gap_box_scan(
             row[top] -= 1  # one coordinate fewer to come
             walk(prefix + (a,), row, room - a + 1, fixed if s in fixed else fixed + (s,))
 
-    root = _per_residue(m, curve.r, {}, 0)
+    root = _per_residue(m, curve.r, {})[1]
     root[top] += last
     walk((), root, 2 * curve.genus - last, ())
     del walk  # a closure that calls itself is a cycle; unbinding frees it at once
@@ -418,7 +417,7 @@ def _window_scan(
             if test(dims, n):
                 out.append(alpha)
 
-    walk((), _per_residue(m, curve.r, {}, 0))
+    walk((), _per_residue(m, curve.r, {})[1])
     del walk  # a closure that calls itself is a cycle; unbinding frees it at once
     return out
 

@@ -193,6 +193,9 @@ def test_shorten():
         shorten(base, 338)
     with pytest.raises(ValueError):
         shorten(base, -1)
+    for s in (2.0, "2", 2.5):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            shorten(base, s)  # refused at the argument, not inside Fraction
 
 
 # --- rational point counts ----------------------------------------------------

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -76,6 +78,21 @@ def test_canonical_divisor(m, r, coeff):
     assert W.coefficient(INFINITY) == coeff
     assert W.degree == 2 * curve.genus - 2
     assert coeff == r * m - r - m - 1
+
+
+@pytest.mark.parametrize("m, r, lam", [(3, 2, 1), (2, 3, 1), (3, 2, 2), (2, 3, 3)])
+def test_genus_one_canonical_divisor_is_stored_empty(m, r, lam):
+    curve = KummerCurve(m, r, lam)
+    assert curve.genus == 1
+    W = curve.canonical_divisor()
+    assert W.is_zero() and W == Divisor() and W.support == () and repr(W) == "0"
+    assert hash(W) == hash(Divisor())
+    assert ell(curve, W).dim == 1
+    # the Riemann-Roch identity, with W - D cancelling places of D to zero
+    places = list(curve.ramified_places()) + [INFINITY]
+    for coeffs in product(range(-2, 3), repeat=len(places)):
+        D = Divisor(dict(zip(places, coeffs)))
+        assert ell(curve, D).dim - ell(curve, W - D).dim == D.degree
 
 
 def test_canonical_dimension_small_case():

@@ -72,10 +72,45 @@ def test_ell_drop_by_one_place():
 
 
 def test_ell_rejects_unsupported_place():
-    from puregaps import Place
-
     with pytest.raises(ValueError):
         ell(C34, Divisor({Place(5): 1}))
+
+
+OFF_CURVE = "divisor supported on P_5, but the curve has only r=4 branch places"
+
+
+def test_off_curve_error_names_the_least_off_curve_place():
+    for coeffs in ({Place(5): 1}, {Place(7): 1, Place(5): 2}, {Place(5): 2, Place(7): 1}):
+        div = Divisor({INFINITY: 3, C34.place(1): -1, **coeffs})
+        with pytest.raises(ValueError) as err:
+            ell(C34, div)
+        assert str(err.value) == OFF_CURVE
+        with pytest.raises(ValueError) as err:
+            is_discrepancy(C34, div, C34.place(1), INFINITY)
+        assert str(err.value) == OFF_CURVE
+    # on a supported divisor, an off-curve place is named by is_discrepancy itself
+    with pytest.raises(ValueError) as err:
+        is_discrepancy(C34, Divisor({C34.place(1): 2}), Place(5), C34.place(2))
+    assert str(err.value) == OFF_CURVE
+
+
+def test_ell_evaluates_the_class_formula_once(monkeypatch):
+    calls = []
+    formula = riemann_roch._per_residue
+
+    def counted(*args):
+        calls.append(args)
+        return formula(*args)
+
+    monkeypatch.setattr(riemann_roch, "_per_residue", counted)
+    W = C59.canonical_divisor()
+    divisors = [Divisor(), W, W - Divisor({INFINITY: 30}), Divisor({C59.place(2): 7, INFINITY: -3})]
+    for k, div in enumerate(divisors, 1):
+        ell(C59, div)
+        assert len(calls) == k
+    with pytest.raises(ValueError):
+        ell(C59, Divisor({Place(10): 1}))
+    assert len(calls) == len(divisors) + 1
 
 
 def test_per_residue_sums_to_dim(corpus):
@@ -91,13 +126,22 @@ def test_per_residue_sums_to_dim(corpus):
 # the bucketed class pass against the term-by-term sum of the closed form
 
 
+def assert_per_residue_is_literal(m, r, coeffs, a_inf):
+    """_per_residue on the place-keyed form of (coeffs, a_inf), P_inf stored even at 0."""
+    places = {Place(j): c for j, c in coeffs.items()}
+    places[INFINITY] = a_inf
+    literal = per_residue_literal(m, r, coeffs, a_inf)
+    assert _per_residue(m, r, places) == (sum(v for v in literal if v > 0), literal)
+
+
 def test_per_residue_matches_literal_sum(corpus):
     rng = random.Random(17)
     for curve in corpus:
         m, r, g = curve.m, curve.r, curve.genus
         # the zero divisor: the class table both oracle walks start from
-        zero = _per_residue(m, r, {}, 0)
-        assert zero == per_residue_literal(m, r, {}, 0) == [(-s * r) // m + 1 for s in range(m)]
+        zero = _per_residue(m, r, {})
+        assert zero == (1, per_residue_literal(m, r, {}, 0))
+        assert zero[1] == [(-s * r) // m + 1 for s in range(m)]
         for _ in range(30):
             idx = rng.sample(range(1, r + 1), rng.randint(0, r))
             coeffs = {j: rng.randint(-2 * g - m, 2 * g + m) for j in idx}
@@ -105,7 +149,7 @@ def test_per_residue_matches_literal_sum(corpus):
                 coeffs[idx[0]] = 0
                 coeffs[idx[-1]] = m * rng.randint(-3, 3)
             a_inf = rng.randint(-2 * g - m, 2 * g + m)
-            assert _per_residue(m, r, coeffs, a_inf) == per_residue_literal(m, r, coeffs, a_inf)
+            assert_per_residue_is_literal(m, r, coeffs, a_inf)
 
 
 large_coprime_curve = st.tuples(st.integers(2, 101), st.integers(2, 120)).filter(
@@ -122,7 +166,35 @@ def test_per_residue_matches_literal_sum_random(mr, data):
     coeff = st.one_of(st.just(0), multiple, st.integers(-5 * m, 5 * m))
     coeffs = {j: data.draw(coeff) for j in idx}
     a_inf = data.draw(st.one_of(st.just(0), st.integers(-5 * m * r, 5 * m * r)))
-    assert _per_residue(m, r, coeffs, a_inf) == per_residue_literal(m, r, coeffs, a_inf)
+    assert_per_residue_is_literal(m, r, coeffs, a_inf)
+
+
+def test_ell_of_arithmetic_divisors_matches_literal_sum(corpus):
+    # K - D and sums that cancel places to zero, so P_inf and branch places drop out of the dict
+    rng = random.Random(27)
+    for curve in corpus[::3]:
+        m, r, g = curve.m, curve.r, curve.genus
+        W = curve.canonical_divisor()
+        branch = curve.ramified_places()
+        for _ in range(10):
+            D = Divisor({p: rng.randint(-g - 2, g + 2) for p in rng.sample(branch, min(3, r))})
+            P = rng.choice(branch)
+            divisors = [
+                W - D,
+                W - (D + W),  # P_inf cancels to zero
+                (D + W) - W,
+                W - D + Divisor({P: D[P], INFINITY: 1}),  # P cancels, P_inf present
+                W - W,
+                D - D,
+            ]
+            for div in divisors:
+                coeffs = {p.index: c for p, c in div.items() if not p.is_infinity}
+                literal = per_residue_literal(m, r, coeffs, div[INFINITY])
+                res = ell(curve, div)
+                assert res.per_residue == tuple(literal)
+                assert res.dim == sum(v for v in literal if v > 0)
+            assert divisors[2] == D and divisors[4].is_zero() and divisors[5].is_zero()
+            assert INFINITY not in divisors[1].support and P not in divisors[3].support
 
 
 small_curve = st.sampled_from(
