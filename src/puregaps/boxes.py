@@ -100,7 +100,7 @@ class MaximalFamily(namedtuple("MaximalFamily", "period n box0", defaults=(None,
         grouped: dict[int, list[TupleZ]] = {}
         for e in elements:
             t = tuple(e)
-            grouped.setdefault(t[0] // period, []).append(t)
+            grouped.setdefault(t[0] // period if t else 0, []).append(t)  # () fails in __new__
         return cls(period, n, {k: tuple(v) for k, v in grouped.items()})
 
     def box(self, k: int) -> tuple[TupleZ, ...]:

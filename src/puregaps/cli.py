@@ -15,7 +15,7 @@ import functools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import codes as codes_mod
 from . import gapsets, maximals
@@ -25,10 +25,6 @@ from .errors import DegreeWindowError, NOutOfRangeError
 from .riemann_roch import pure_gap_box_scan
 
 _CHUNK_LINES = 1024  # tuples per write of the pure-gaps stream, in any format
-
-
-def _curve_from(args) -> KummerCurve:
-    return KummerCurve(args.m, args.r, args.lam)
 
 
 def _branch_indices(text: str) -> list[int]:
@@ -85,83 +81,70 @@ def _emit_pure_gaps(curve: KummerCurve, n: int, fmt: str) -> None:
     sys.stdout.write("".join(chunk) + closer)
 
 
-def cmd_info(args) -> int:
-    curve = _curve_from(args)
-    if args.format == "json":
-        payload = {
-            "curve": curve.to_json(),
-            "period": curve.period,
-            "canonical_degree": 2 * curve.genus - 2,
-        }
+def _emit(fmt: str, payload=None, lines: Iterable = ()) -> int:
+    """Write a verb's output: payload as one sorted JSON line for json, else each of lines."""
+    if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"Kummer curve: m={curve.m}, r={curve.r}, lambda={curve.lam}")
-        print(f"genus {curve.genus}, period {curve.period}")
-        print(f"canonical divisor: {curve.canonical_divisor()!r} (degree {2 * curve.genus - 2})")
+        sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
+
+
+def cmd_info(args) -> int:
+    curve = KummerCurve(args.m, args.r, args.lam)
+    degree = 2 * curve.genus - 2
+    if args.format == "json":
+        payload = {"curve": curve.to_json(), "period": curve.period, "canonical_degree": degree}
+        return _emit("json", payload)
+    return _emit("text", lines=[
+        f"Kummer curve: m={curve.m}, r={curve.r}, lambda={curve.lam}",
+        f"genus {curve.genus}, period {curve.period}",
+        f"canonical divisor: {curve.canonical_divisor()!r} (degree {degree})",
+    ])
 
 
 def cmd_gaps(args) -> int:
-    curve = _curve_from(args)
-    result = maximals.h_one_place(curve, at_infinity=args.at_infinity)
-    where = "P_inf" if result.at_infinity else "a ramified place"
+    curve = KummerCurve(args.m, args.r, args.lam)
+    gaps = maximals.h_one_place(curve, at_infinity=args.at_infinity).gaps
     if args.format == "json":
-        payload = {
-            "curve": curve.to_json(),
-            "place": "infinity" if result.at_infinity else "ramified",
-            "count": len(result.gaps),
-            "gaps": list(result.gaps),
-        }
-        print(json.dumps(payload, sort_keys=True))
-    elif args.format == "csv":
-        for x in result.gaps:
-            print(x)
-    else:
-        print(f"{len(result.gaps)} gaps at {where}: " + " ".join(map(str, result.gaps)))
-    return 0
+        place = "infinity" if args.at_infinity else "ramified"
+        payload = {"curve": curve.to_json(), "place": place, "count": len(gaps), "gaps": gaps}
+        return _emit("json", payload)
+    if args.format == "csv":
+        return _emit("csv", lines=gaps)
+    where = "P_inf" if args.at_infinity else "a ramified place"
+    return _emit("text", lines=[f"{len(gaps)} gaps at {where}: " + " ".join(map(str, gaps))])
 
 
 def cmd_pure_gaps(args) -> int:
-    curve = _curve_from(args)
+    curve = KummerCurve(args.m, args.r, args.lam)
     n, _ = _places_count(args, curve)
     if args.count:
-        print(gapsets.pure_gap_count(curve, n))
-        return 0
+        return _emit("text", lines=[gapsets.pure_gap_count(curve, n)])
     _emit_pure_gaps(curve, n, args.format)
     return 0
 
 
+_MAXIMAL_SETS = {  # (--kind, --box): the set the maximals verb prints
+    ("absolute", False): maximals.gamma_star, ("relative", False): maximals.lambda_star,
+    ("absolute", True): maximals.gamma_hat_box, ("relative", True): maximals.lambda_hat_box,
+}
+
+
 def cmd_maximals(args) -> int:
-    curve = _curve_from(args)
+    curve = KummerCurve(args.m, args.r, args.lam)
     n, _ = _places_count(args, curve)
-    if args.box:
-        if args.kind == "absolute":
-            elems = maximals.gamma_hat_box(curve, n)
-        else:
-            elems = maximals.lambda_hat_box(curve, n)
-        if not args.include_negative:
-            elems = [e for e in elems if e[0] >= 0]
-    else:
-        if args.kind == "absolute":
-            elems = maximals.gamma_star(curve, n)
-        else:
-            elems = maximals.lambda_star(curve, n)
+    elems = _MAXIMAL_SETS[args.kind, args.box](curve, n)
+    if args.box and not args.include_negative:
+        elems = [e for e in elems if e[0] >= 0]
     if args.format == "json":
-        payload = {
-            "curve": curve.to_json(),
-            "n": n,
-            "kind": args.kind,
-            "set": [list(t) for t in elems],
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        sep = "," if args.format == "csv" else " "
-        sys.stdout.writelines(sep.join(map(str, t)) + "\n" for t in elems)
-    return 0
+        return _emit("json", {"curve": curve.to_json(), "n": n, "kind": args.kind, "set": elems})
+    sep = "," if args.format == "csv" else " "
+    return _emit(args.format, lines=(sep.join(map(str, t)) for t in elems))
 
 
 def cmd_verify(args) -> int:
-    curve = _curve_from(args)
+    curve = KummerCurve(args.m, args.r, args.lam)
     n, idx = _places_count(args, curve)
     maximals._require_places(curve, n)
     places = tuple(curve.place(j) for j in idx)
@@ -173,67 +156,54 @@ def cmd_verify(args) -> int:
     if maximals._in_window(curve, n):
         routes["glb"] = pure_gaps_from_family(maximals.relative_family(curve, n), box)
     agreed = all(route == enumerated for route in routes.values())
+    sizes = {name: len(route) for name, route in sorted(routes.items())}
     if args.format == "json":
-        payload = {
-            "curve": curve.to_json(),
-            "n": n,
-            "box": box,
-            "ok": agreed,
-            "routes": {name: len(route) for name, route in sorted(routes.items())},
-        }
-        print(json.dumps(payload, sort_keys=True))
+        _emit("json", {"curve": curve.to_json(), "n": n, "box": box, "ok": agreed, "routes": sizes})
     elif agreed:
         count = len(enumerated)
-        print(f"OK: enumeration matches oracle ({count} pure gap{'s' if count != 1 else ''})")
+        plural = "s" if count != 1 else ""
+        _emit("text", lines=[f"OK: enumeration matches oracle ({count} pure gap{plural})"])
     else:
-        sizes = ", ".join(f"{name}={len(route)}" for name, route in sorted(routes.items()))
-        print(f"MISMATCH: routes disagree ({sizes})", file=sys.stderr)
+        listed = ", ".join(f"{name}={size}" for name, size in sizes.items())
+        print(f"MISMATCH: routes disagree ({listed})", file=sys.stderr)
     return 0 if agreed else 1
 
 
 def cmd_codes_table(args) -> int:
-    if args.family == "hermitian-subcover" and args.t is not None:
-        raise ValueError("--t applies only to the norm-trace-like family")
-    if args.family == "norm-trace-like" and args.t is None:
-        raise ValueError("the norm-trace-like family needs --t")
     curve, points = codes_mod.family_curve_points(args.family, args.q, args.m, args.t)
     if args.n is not None:
         maximals._require_places(curve, args.n)
-
-    with_gaps = [n for n in range(2, curve.r + 1) if gapsets.max_level(curve, n) >= 0]
-    ns = [args.n] if args.n is not None else with_gaps
+    # the (n, k) cells: a sweep keeps those it has, and naming both --n and --k names one cell
+    cells = [
+        (n, k)
+        for n in ([args.n] if args.n is not None else range(2, curve.r + 1))
+        for k in ([args.k] if args.k is not None else range(gapsets.max_level(curve, n) + 1))
+    ]
     sweeping = args.n is None or args.k is None
     rows = []
-    for n in ns:
-        top = gapsets.max_level(curve, n)
-        for k in [args.k] if args.k is not None else range(top + 1):
-            if k > top:
-                raise ValueError(f"level k={k} has no pure gaps for n={n} on this curve")
-            # every box sum from n up occurs; sweeps skip the unprofitable ones rather than abort
-            box = gapsets.b_k(curve, n, k)
-            a_values = tuple(range(n, sum(box.bounds) + 1))
-            spec = codes_mod.TableRowSpec(args.family, args.q, args.m, n, k, a_values, t=args.t)
-            rows += codes_mod._cell_rows(spec, curve, points, box, sweep=sweeping)
-
+    for n, k in cells:
+        box = gapsets.b_k(curve, n, k)
+        if box.empty:
+            if sweeping:
+                continue
+            raise ValueError(f"level k={k} has no pure gaps for n={n} on this curve")
+        # every box sum from n up occurs; sweeps skip the unprofitable ones rather than abort
+        a_values = tuple(range(n, sum(box.bounds) + 1))
+        spec = codes_mod.TableRowSpec(args.family, args.q, args.m, n, k, a_values, t=args.t)
+        rows += codes_mod._cell_rows(spec, curve, points, box, sweep=sweeping)
     if args.format == "json":
-        print(json.dumps(rows, sort_keys=True))
-    else:
-        print("N,kdim,dlb,degG,ratesum")
-        for row in rows:
-            print(f"{row['N']},{row['kdim']},{row['dlb']},{row['degG']},{row['ratesum']}")
-    return 0
+        return _emit("json", rows)
+    cols = ("N", "kdim", "dlb", "degG", "ratesum")
+    return _emit("csv", lines=[",".join(cols)] + [",".join(str(r[c]) for c in cols) for r in rows])
 
 
 def cmd_plot_data(args) -> int:
-    curve = _curve_from(args)
-    data = gapsets.plot_data(curve, args.n)
-    if args.format == "text":
-        for cube in data.cubes:
-            print(f"class {cube.level}: origin {cube.origin} side {cube.side} count {cube.count}")
-        print(f"lambda_star points: {len(data.relative_maximals)}")
-    else:
-        print(json.dumps(data.to_json(), sort_keys=True))
-    return 0
+    data = gapsets.plot_data(KummerCurve(args.m, args.r, args.lam), args.n)
+    if args.format == "json":
+        return _emit("json", data.to_json())
+    lines = [f"class {c.level}: origin {c.origin} side {c.side} count {c.count}"
+             for c in data.cubes]
+    return _emit("text", lines=lines + [f"lambda_star points: {len(data.relative_maximals)}"])
 
 
 def _add_curve_flags(p: argparse.ArgumentParser) -> None:
@@ -324,12 +294,9 @@ def _run(argv: Sequence[str] | None) -> int:
         return int(exc.code or 0)
     try:
         code = args.func(args)
-    except (NOutOfRangeError, DegreeWindowError) as exc:
+    except ValueError as exc:  # the domain errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (NOutOfRangeError, DegreeWindowError)) else 2
     sys.stdout.flush()  # a closed reader shows up here, not at interpreter exit
     return code
 

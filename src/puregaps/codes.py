@@ -146,9 +146,13 @@ def norm_trace_like_points(q: int, t: int, m: int) -> int:
 def family_curve_points(family: str, q: int, m: int, t: int | None) -> tuple[KummerCurve, int]:
     """The curve of a code-table family instance and its number of rational points."""
     if family == "hermitian-subcover":
+        if t is not None:
+            raise ValueError("--t applies only to the norm-trace-like family")
         curve = KummerCurve(m, q)  # checked before the point count
         return curve, hermitian_subcover_points(q, m)
     if family == "norm-trace-like":
+        if t is None:
+            raise ValueError("the norm-trace-like family needs --t")
         points = norm_trace_like_points(q, t, m)  # checked before the curve
         root = q ** (t // 2)
         return KummerCurve(m, root, root - 1), points

@@ -51,7 +51,7 @@ def h_one_place(curve: KummerCurve, at_infinity: bool = False) -> OnePlaceGaps:
 
 
 def _require_places(curve: KummerCurve, n: int) -> None:
-    if not 2 <= n <= curve.r:
+    if not 2 <= operator.index(n) <= curve.r:
         raise NOutOfRangeError(f"need 2 <= n <= r = {curve.r} branch places, got n={n}")
 
 
@@ -61,7 +61,7 @@ def _in_window(curve: KummerCurve, n: int) -> bool:
 
 
 def _require_window(curve: KummerCurve, n: int, what: str) -> None:
-    if not _in_window(curve, n):
+    if not _in_window(curve, operator.index(n)):
         upper = curve.r - curve.r // curve.m
         raise NOutOfRangeError(
             f"{what} needs 2 <= n <= {upper} on this curve (m={curve.m}, r={curve.r}), got n={n}"
@@ -125,7 +125,6 @@ def lambda_star(curve: KummerCurve, n: int) -> list[TupleZ]:
     Same shape as gamma_star but with composition total r - 2 - floor(r*i/m),
     which is nonnegative throughout the residue range.
     """
-    n = operator.index(n)
     _require_window(curve, n, "the positive relative maximal set")
     return _star(curve, n, curve.r - 2)
 

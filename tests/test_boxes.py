@@ -68,6 +68,12 @@ def test_family_validation():
     assert type(ones.levels[0]) is int and all(type(c) is int for c in ones.box(1)[0])
 
 
+@pytest.mark.parametrize("elements", [[()], [(3,)], [(1, 2, 3)], [(1, 2), ()]])
+def test_window_elements_of_another_dimension_are_refused(elements):
+    with pytest.raises(ValueError, match="does not have dimension 2"):
+        MaximalFamily.from_window_elements(5, 2, elements)
+
+
 def test_relative_family_boxes():
     fam = relative_family(C59, 3)
     assert fam.period == 5

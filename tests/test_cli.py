@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import product
 from math import gcd
 from pathlib import Path
 
@@ -391,6 +392,65 @@ def test_codes_table_n_outside_the_places_exits_3(capsys, family, q, m, t):
         line = f"error: need 2 <= n <= r = {r} branch places, got n={n}\n"
         for k in ([], ["--k", "0"], ["--k", "3"]):
             assert run(capsys, *flags, "--n", str(n), *k) == (3, "", line)
+
+
+@pytest.mark.parametrize("family, q, m, t", CODES_INSTANCES)
+def test_codes_table_level_sweep_is_the_place_sweeps_at_that_level(capsys, family, q, m, t):
+    # --k K keeps the place counts that reach K, in ascending n; when none does, only the header
+    r = family_curve_points(family, q, m, t)[0].r
+    flags = ["codes", "table", "--family", family, "--q", str(q), "--m", str(m)]
+    flags += [] if t is None else ["--t", str(t)]
+    rows = []
+    for n in range(2, r + 1):
+        code, out, _ = run(capsys, *flags, "--n", str(n), "--format", "json")
+        assert code == 0
+        rows += json.loads(out)
+    for k in range(7):
+        at_k = [row for row in rows if row["k"] == k]
+        assert run(capsys, *flags, "--k", str(k), "--format", "json") == (
+            0, json.dumps(at_k, sort_keys=True) + "\n", ""
+        )
+        if not at_k:
+            assert run(capsys, *flags, "--k", str(k)) == (0, "N,kdim,dlb,degG,ratesum\n", "")
+
+
+def test_text_and_json_list_the_same_records(capsys, corpus):
+    # every verb's text or csv lines carry the records of its JSON payload, at n = 2 and 3
+    def both(*argv, fmt="text"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        json_code, payload, json_err = run(capsys, *argv, "--format", "json")
+        assert code == json_code and bool(err) == bool(json_err), argv
+        return out.splitlines(), json.loads(payload) if json_code == 0 else None
+
+    def tuples(lines, sep):
+        return [[int(x) for x in line.split(sep)] for line in lines]
+
+    for curve in corpus:
+        c = ["--m", str(curve.m), "--r", str(curve.r)]
+        for where in ([], ["--at-infinity"]):
+            lines, payload = both("gaps", *c, *where, fmt="csv")
+            assert [int(x) for x in lines] == payload["gaps"]
+            (line,), _ = both("gaps", *c, *where)
+            head, listed = line.split(": ")
+            assert head.startswith(f"{payload['count']} gaps at ")
+            assert [int(x) for x in listed.split()] == payload["gaps"]
+        for n in (2, 3)[: curve.r - 1]:
+            ns = [*c, "--n", str(n)]
+            for kind, box in product(("absolute", "relative"), ([], ["--box"])):
+                lines, payload = both("maximals", *ns, "--kind", kind, *box, fmt="csv")
+                listed = payload["set"] if payload else []  # outside the window both exit 3
+                assert tuples(lines, ",") == listed
+                assert tuples(both("maximals", *ns, "--kind", kind, *box)[0], " ") == listed
+            lines, payload = both("verify", *ns)
+            count = payload["routes"]["enumeration"]
+            assert lines == [f"OK: enumeration matches oracle ({count} pure gap{'s' * (count != 1)})"]
+        if curve.r >= 3:
+            lines, payload = both("plot-data", *c)
+            cubes = [
+                f"class {q['class']}: origin {tuple(q['origin'])} side {q['side']} count {q['count']}"
+                for q in payload["cubes"]
+            ]
+            assert lines == cubes + [f"lambda_star points: {len(payload['lambda_star'])}"]
 
 
 def test_plot_data_schema(capsys):

@@ -329,3 +329,20 @@ def test_family_curve_points():
         family_curve_points("hermitian-subcover", 4, 2, None)
     with pytest.raises(ValueError, match="coprime"):
         family_curve_points("norm-trace-like", 4, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "family, q, m, t, message",
+    [
+        ("hermitian-subcover", 7, 4, 6, "--t applies only to the norm-trace-like family"),
+        ("hermitian-subcover", 4, 2, 6, "--t applies only to the norm-trace-like family"),
+        ("norm-trace-like", 2, 9, None, "the norm-trace-like family needs --t"),
+        ("norm-trace-like", 4, 3, None, "the norm-trace-like family needs --t"),
+    ],
+)
+def test_family_t_rule_is_checked_first(family, q, m, t, message):
+    # the second instance of each family also fails its curve or point-count check
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        family_curve_points(family, q, m, t)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_tables([TableRowSpec(family, q, m, 2, 3, (2,), t=t)])

@@ -17,6 +17,7 @@ from puregaps import (
     is_relative_maximal,
     lambda_hat_box,
     lambda_star,
+    pure_gap_count,
     relative_family,
 )
 from puregaps.cli import main
@@ -85,6 +86,16 @@ def test_hat_boxes_reject_bad_n():
             fn(C59, 1)
         with pytest.raises(NOutOfRangeError):
             fn(C59, 9)  # r - floor(r/m) = 8
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [gamma_hat_box, lambda_hat_box, absolute_family, relative_family, gamma_star, lambda_star,
+     pure_gap_count],
+)
+def test_a_float_place_count_is_a_type_error(fn):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        fn(C59, 3.0)
 
 
 def test_lambda_hat_elements_pass_the_oracle():
