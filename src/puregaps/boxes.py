@@ -97,6 +97,7 @@ class MaximalFamily(namedtuple("MaximalFamily", "period n box0", defaults=(None,
         cls, period: int, n: int, elements: Iterable[Sequence[int]]
     ) -> "MaximalFamily":
         """Group fundamental-window elements by their level on the first axis."""
+        period = cls(period, n).period  # period and n are checked before any grouping
         grouped: dict[int, list[TupleZ]] = {}
         for e in elements:
             t = tuple(e)

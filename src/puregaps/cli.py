@@ -56,26 +56,31 @@ def _places_count(args, curve: KummerCurve) -> tuple[int, list[int]]:
 def _emit_pure_gaps(curve: KummerCurve, n: int, fmt: str) -> None:
     """The pure-gap stream in text, csv or JSON, rendered a block at a time.
 
-    Each block of gapsets.pure_gap_blocks is one prefix rendered once as head,
-    joined with the memoized strings of its last coordinates: head + "t\n"
-    a line, or "[" + prefix + ", " + "t]" a JSON element.  The JSON bytes are
-    those of json.dumps([list(t) for t in pure_gaps(curve, n)]), written in
-    chunks like the lines, so memory stays bounded by a chunk and the block
-    memo.  A chunk is whole blocks of at least _CHUNK_LINES tuples.
+    Each row of gapsets.pure_gap_blocks renders its (n-2)-prefix once, and
+    each (t, block) in it adds the memoized t + sep to make the head, joined
+    with the memoized strings of the last coordinates: head + "u\n" a line,
+    or head + "u]" a JSON element, its head opened by "[".  The JSON bytes
+    are those of json.dumps([list(t) for t in pure_gaps(curve, n)]), written
+    in chunks like the lines, so memory stays bounded by a chunk, the block
+    memo and one block list per kept row class.  A chunk is whole blocks of
+    at least _CHUNK_LINES tuples, checked after every block.
     """
     if fmt == "json":
         sep, opener, between, closer, leaf = ", ", "[", ", ", "]\n", "%d]"
     else:
         sep, opener, between, closer, leaf = ("," if fmt == "csv" else " "), "", "", "", "%d\n"
+    mids = [f"{t}{sep}" for t in range((gapsets.max_level(curve, n) + 1) * curve.m)]
     chunk, lines, lead = [], 0, opener  # lead goes before the next block
-    for prefix, tails in gapsets.pure_gap_blocks(curve, n, leaf.__mod__):
-        head = opener + sep.join(map(str, prefix)) + sep
-        chunk.append(lead + head + (between + head).join(tails))
-        lead = between
-        lines += len(tails)
-        if lines >= _CHUNK_LINES:
-            sys.stdout.write("".join(chunk))
-            chunk, lines = [], 0
+    for prefix, row in gapsets.pure_gap_blocks(curve, n, leaf.__mod__):
+        start = opener + "".join(map(mids.__getitem__, prefix))
+        for t, tails in row:
+            head = start + mids[t]
+            chunk.append(lead + head + (between + head).join(tails))
+            lead = between
+            lines += len(tails)
+            if lines >= _CHUNK_LINES:
+                sys.stdout.write("".join(chunk))
+                chunk, lines = [], 0
     if lead == opener:  # no block: JSON still prints its empty list
         chunk.append(opener)
     sys.stdout.write("".join(chunk) + closer)

@@ -27,11 +27,16 @@ every higher one, since the bounds do not grow with k.
 
 The test reads a prefix only through the descending sort of its residues and
 its level, so the last coordinates that complete an (n-1)-prefix, its block,
-depend on that pair alone.  The walk builds each block once per pair, as a
-list of leaves made by a constructor the caller passes in, and hands out the
-same list for every prefix of that class: 1-tuples for the tuple stream,
-rendered strings for the CLI.  Over the benchmark's stream pool there are
-about eleven prefixes per distinct block.
+and the (t, block) pairs that complete an (n-2)-prefix, its row, depend on
+that class alone.  The walk builds each block once per class, as a list of
+leaves made by a constructor the caller passes in, and hands out the same
+list for every prefix of that class: 1-tuples for the tuple stream, rendered
+strings for the CLI.  A row is filled as it is read; one read to its end is
+kept as its list of blocks (its t come again from the memoized ranges) for
+the later prefixes of its class, at depth >= 2 only, since a shorter prefix
+is alone in its class.  So the walk holds the block memo plus one block list
+per kept class.  Over the benchmark's stream pool there are about eleven
+(n-1)-prefixes per block, and at n = 4 about four 2-prefixes per kept row.
 
 The box rule: under a box [1, box_max]^n, a prefix's ranges end at the first
 cell that starts past box_max, and the last one is clipped to box_max.  As
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, starmap
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -86,26 +91,28 @@ def _box_bounds(curve: KummerCurve, k: int, count: int) -> list[int]:
 def pure_gaps(curve: KummerCurve, n: int, box_max: int | None = None) -> Iterator[TupleZ]:
     """Lexicographically ordered stream of every pure gap at P_1, ..., P_n.
 
-    The blocks of pure_gap_blocks with 1-tuple leaves, each appended to its
-    prefix.  A block is shared by every prefix with the same sorted residues
-    and level, so the walk keeps one list per such pair and no heap.  With
-    box_max, only the pure gaps in [1, box_max]^n come out, by the box rule
-    of the module docstring.  n is checked on the call.
+    The rows of pure_gap_blocks with 1-tuple leaves, each block appended to
+    its prefix and t.  Blocks and kept rows are shared by the prefixes of a
+    class, so the walk keeps one list per class and no heap.  With box_max,
+    only the pure gaps in [1, box_max]^n come out, by the box rule of the
+    module docstring.  n is checked on the call.
     """
-    blocks = pure_gap_blocks(curve, n, lambda t: (t,), box_max)
-    return chain.from_iterable(map(prefix.__add__, block) for prefix, block in blocks)
+    rows = pure_gap_blocks(curve, n, lambda t: (t,), box_max)
+    return chain.from_iterable(map((p + (t,)).__add__, block) for p, row in rows for t, block in row)
 
 
 def pure_gap_blocks(
     curve: KummerCurve, n: int, leaf: Callable[[int], object], box_max: int | None = None
-) -> Iterator[tuple[TupleZ, list]]:
-    """The pure-gap stream in blocks: (prefix, [leaf(t) for every t completing prefix]).
+) -> Iterator[tuple[TupleZ, Iterator[tuple[int, list]]]]:
+    """The pure-gap stream in rows: (prefix, row) per (n-2)-prefix, in lexicographic order.
 
-    One pair per (n-1)-prefix, in lexicographic order, with t ascending in
-    each block.  With box_max, every coordinate stays at most box_max, by the
-    box rule of the module docstring.  A block list is shared by every prefix
-    of the same sorted residues and level, so callers must not mutate it.  n
-    is checked on the call.
+    The row yields (t, [leaf(u) for every u completing prefix + (t,)]) for
+    every t extending prefix, t and u ascending.  It is filled as it is read,
+    and kept at depth >= 2 once read to its end, so memory is the block memo
+    plus one block list per kept class.  With box_max, every coordinate stays
+    at most box_max, by the box rule of the module docstring; a box below 1
+    yields no row.  A block list is shared by every prefix of its class, so
+    callers must not mutate it.  n is checked on the call.
     """
     _require_places(curve, n)
     return _BlockWalk(curve.m, n, _level_bounds(curve, n), leaf, box_max).walk((), (), 0)
@@ -138,6 +145,7 @@ class _BlockWalk:
         self.leaves = [leaf(t) for t in range(self.stop)]
         self.memo: dict[tuple[TupleZ, int], list[tuple[int, int]]] = {}
         self.blocks: dict[tuple[TupleZ, int], list] = {}
+        self.rows: dict[tuple[TupleZ, int], list[list]] = {}
 
     def extensions(self, residues: TupleZ, k: int) -> list[tuple[int, int]]:
         """The next coordinates that keep a prefix completable: ranges [c*m + 1, c*m + u_max + 1).
@@ -167,21 +175,36 @@ class _BlockWalk:
                 found.append((lo, hi if hi < stop else stop))
         return found
 
-    def walk(self, prefix: TupleZ, residues: TupleZ, k: int) -> Iterator[tuple[TupleZ, list]]:
-        """The blocks under one prefix: recurse to the (n-1)-prefixes, then yield their blocks."""
-        m, inner, blocks, leaves = self.m, len(prefix) < self.n - 2, self.blocks, self.leaves
+    def walk(self, prefix: TupleZ, residues: TupleZ, k: int) -> Iterator[tuple[TupleZ, Iterator]]:
+        """The rows under one prefix: recurse to the (n-2)-prefixes, then yield their rows."""
+        if len(prefix) == self.n - 2:
+            ranges, found = self.extensions(residues, k), self.rows.get((residues, k))
+            if found is not None:
+                yield prefix, zip(chain.from_iterable(starmap(range, ranges)), found)
+            elif ranges:  # only the root can have none
+                yield prefix, self.fill(residues, k, len(prefix) >= 2)
+            return
+        m = self.m
         for lo, hi in self.extensions(residues, k):
             c = lo // m
             for t in range(lo, hi):
                 child = tuple(sorted(residues + (t - c * m,), reverse=True))
-                if inner:
-                    yield from self.walk(prefix + (t,), child, k + c)
-                    continue
-                key = (child, k + c)
+                yield from self.walk(prefix + (t,), child, k + c)
+
+    def fill(self, residues: TupleZ, k: int, store: bool) -> Iterator[tuple[int, list]]:
+        """The (t, block) pairs of a row as they are asked for; the whole row is kept if store."""
+        m, blocks, leaves, row = self.m, self.blocks, self.leaves, []
+        for lo, hi in self.extensions(residues, k):
+            c = lo // m
+            for t in range(lo, hi):
+                key = (tuple(sorted(residues + (t - c * m,), reverse=True)), k + c)
                 block = blocks.get(key)
                 if block is None:
                     block = blocks[key] = [x for a, b in self.extensions(*key) for x in leaves[a:b]]
-                yield prefix + (t,), block
+                row.append(block)
+                yield t, block
+        if store:
+            self.rows[residues, k] = row
 
 
 def union_count(bounds: Sequence[int]) -> int:

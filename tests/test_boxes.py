@@ -74,6 +74,15 @@ def test_window_elements_of_another_dimension_are_refused(elements):
         MaximalFamily.from_window_elements(5, 2, elements)
 
 
+@pytest.mark.parametrize("period", [0, -3])
+@pytest.mark.parametrize("elements", [[], [(1, 1)], [(1, 1), (7, 2)]])
+def test_window_elements_with_a_period_below_one_are_refused(period, elements):
+    with pytest.raises(ValueError, match="period must be positive"):
+        MaximalFamily.from_window_elements(period, 2, elements)
+    with pytest.raises(TypeError):
+        MaximalFamily.from_window_elements(2.0, 2, elements)  # no float levels either
+
+
 def test_relative_family_boxes():
     fam = relative_family(C59, 3)
     assert fam.period == 5

@@ -119,7 +119,7 @@ COPRIME = [(m, r) for m in range(2, 14) for r in range(2, 16) if gcd(m, r) == 1]
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(COPRIME), st.integers(2, 5), st.sampled_from(FORMATS))
+@given(st.sampled_from(COPRIME), st.integers(2, 6), st.sampled_from(FORMATS))
 def test_pure_gaps_bytes_match_per_tuple_reference(mr, n, fmt):
     m, r = mr
     assume(n <= r and pure_gap_count(KummerCurve(m, r), n) <= 20_000)
@@ -150,19 +150,28 @@ class HashingStdout(io.TextIOBase):
         return len(s)
 
 
-def test_pure_gaps_json_memory_is_bounded(monkeypatch):
-    # 23 505 elements, 0.3 MB of JSON; as a list of lists they take about 5 MiB
-    want = hashlib.sha256(reference(7, 23, 3, "json").encode()).hexdigest()
+def assert_json_memory_is_bounded(monkeypatch, m, r, n):
+    want = hashlib.sha256(reference(m, r, n, "json").encode()).hexdigest()
     sink = HashingStdout()
     monkeypatch.setattr(sys, "stdout", sink)
     tracemalloc.start()
     try:
-        code = main(["pure-gaps", "--m", "7", "--r", "23", "--n", "3", "--format", "json"])
+        code = main(["pure-gaps", "--m", str(m), "--r", str(r), "--n", str(n), "--format", "json"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 0 and sink.sha.hexdigest() == want
     assert peak < 1 << 20, f"traced peak {peak} B"
+
+
+def test_pure_gaps_json_memory_is_bounded(monkeypatch):
+    # 23 505 elements, 0.3 MB of JSON; as a list of lists they take about 5 MiB
+    assert_json_memory_is_bounded(monkeypatch, 7, 23, 3)
+
+
+def test_pure_gaps_json_memory_is_bounded_at_four_places(monkeypatch):
+    # 35 142 elements, 0.5 MB of JSON; the walk keeps one row per class of 2-prefixes
+    assert_json_memory_is_bounded(monkeypatch, 9, 10, 4)
 
 
 def test_maximals_csv(capsys):

@@ -21,6 +21,7 @@ from puregaps import (
     pure_gaps,
     union_count,
 )
+from puregaps import gapsets
 from puregaps.gapsets import _BlockWalk, _level_bounds, pure_gap_blocks
 from puregaps.reference import (
     class_count,
@@ -156,19 +157,85 @@ def assert_stream_is_cell_union(curve, n):
     assert len(got) == pure_gap_count(curve, n)
 
 
-@pytest.mark.parametrize("m,r,n", [(5, 9, 3), (7, 12, 4), (4, 11, 2), (3, 16, 5), (3, 2, 2)])
-def test_pure_gap_blocks_are_shared_by_sorted_residues_and_level(m, r, n):
+def class_key(prefix, m):
+    """A prefix's class as the walk keys it: its residues sorted descending, and its level."""
+    cs, us = zip(*(divmod(t - 1, m) for t in prefix)) if prefix else ((), ())
+    return tuple(sorted((u + 1 for u in us), reverse=True)), sum(cs)
+
+
+def tuple_leaf(t):
+    return (t,)
+
+
+def fresh_walk(curve, n, box=None, leaf=tuple_leaf):
+    return _BlockWalk(curve.m, n, _level_bounds(curve, n), leaf, box)
+
+
+ROW_CASES = [(5, 9, 3), (7, 12, 4), (4, 11, 2), (3, 16, 5), (3, 2, 2), (5, 9, 6), (7, 6, 4), (3, 4, 3)]
+
+
+@pytest.mark.parametrize("m,r,n", ROW_CASES)
+def test_pure_gap_rows_and_blocks_are_shared_by_class(m, r, n):
     curve = KummerCurve(m, r)
     assert _level_bounds(curve, n) == [b_k(curve, n, k).bounds for k in range(max_level(curve, n) + 1)]
-    seen = {}
-    tuples = []
-    for prefix, block in pure_gap_blocks(curve, n, lambda t: (t,)):
-        assert len(prefix) == n - 1 and block
-        cs, us = zip(*(divmod(t - 1, m) for t in prefix))
-        key = (tuple(sorted(us)), sum(cs))
-        assert seen.setdefault(key, block) is block
-        tuples.extend(prefix + leaf for leaf in block)
+    walk = fresh_walk(curve, n)
+    blocks, rows, listed, deep = {}, {}, [], 0
+    for prefix, row in walk.walk((), (), 0):
+        pairs = list(row)
+        listed.append((prefix, pairs))
+        ts = [t for t, _ in pairs]
+        assert len(prefix) == n - 2 and ts and ts == sorted(set(ts))
+        for t, block in pairs:
+            # a block is shared by every (n-1)-prefix of its class
+            assert block and blocks.setdefault(class_key(prefix + (t,), m), block) is block
+        if len(prefix) >= 2:
+            deep += 1
+            # the row is kept once, whole, and every later prefix of its class reads that list
+            stored = walk.rows[class_key(prefix, m)]
+            assert rows.setdefault(class_key(prefix, m), stored) is stored
+            assert len(stored) == len(pairs) and all(a is b for a, (_, b) in zip(stored, pairs))
+    assert walk.rows.keys() == rows.keys() and walk.blocks.keys() == blocks.keys()
+    if n <= 3:
+        assert walk.rows == {}  # a 1-prefix is alone in its class, so no row is kept
+    elif listed:
+        assert len(rows) < deep  # some class has more than one prefix
+    public = [(prefix, list(row)) for prefix, row in pure_gap_blocks(curve, n, tuple_leaf)]
+    assert public == listed
+    tuples = [prefix + (t,) + leaf for prefix, pairs in listed for t, block in pairs for leaf in block]
     assert tuples == list(pure_gaps(curve, n)) == cell_union(curve, n)
+
+
+@pytest.mark.parametrize("m,r,n", [(5, 9, 3), (7, 12, 4), (5, 9, 6), (4, 11, 2)])
+def test_first_tuple_builds_one_block(monkeypatch, m, r, n):
+    walks = []
+
+    class Recorded(_BlockWalk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            walks.append(self)
+
+    monkeypatch.setattr(gapsets, "_BlockWalk", Recorded)
+    assert next(pure_gaps(KummerCurve(m, r), n)) == (1,) * n
+    assert len(walks) == 1 and len(walks[0].blocks) == 1 and walks[0].rows == {}
+
+
+@pytest.mark.parametrize("m,r,n", [(7, 12, 4), (3, 16, 5), (5, 9, 6)])
+def test_an_abandoned_row_is_not_kept(m, r, n):
+    curve = KummerCurve(m, r)
+    whole = [(prefix, list(row)) for prefix, row in fresh_walk(curve, n).walk((), (), 0)]
+    walk = fresh_walk(curve, n)
+    abandoned, last, halfway, reread, count = set(), None, 0, 0, 0
+    for count, ((prefix, row), want) in enumerate(zip(walk.walk((), (), 0), whole), 1):
+        assert last not in walk.rows  # the row left half-way last time was not kept
+        key, last = class_key(prefix, m), None
+        if key in walk.rows or key in abandoned:
+            reread += key in walk.rows
+            assert (prefix, list(row)) == want
+        else:  # the first prefix of each class reads one pair and moves on
+            assert (prefix, [next(row)]) == (want[0], want[1][:1])
+            abandoned.add(key)
+            last, halfway = key, halfway + (len(want[1]) > 1)
+    assert halfway and reread and count == len(whole)
 
 
 # the curves of the benchmark's stream workload, 1e4 to 4e4 pure gaps each
@@ -187,7 +254,7 @@ COPRIME = [(m, r) for m in range(2, 15) for r in range(2, 17) if gcd(m, r) == 1]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(COPRIME), st.integers(2, 4))
+@given(st.sampled_from(COPRIME), st.integers(2, 6))
 def test_pure_gaps_match_cell_union_random(mr, n):
     curve = KummerCurve(*mr)
     assume(n <= curve.r and pure_gap_count(curve, n) <= 50_000)  # keeps each example well under 1 s
@@ -197,15 +264,16 @@ def test_pure_gaps_match_cell_union_random(mr, n):
 def assert_capped_stream_is_clipped(curve, n, full, box):
     want = [t for t in full if max(t) <= box]
     assert list(pure_gaps(curve, n, box)) == want, (curve, n, box)
-    blocks = [block for _, block in pure_gap_blocks(curve, n, lambda t: (t,), box)]
+    rows = [list(row) for _, row in pure_gap_blocks(curve, n, tuple_leaf, box)]
     if box < 1:
-        assert blocks == [], (curve, n, box)
+        assert rows == [], (curve, n, box)
     else:
-        assert all(blocks), (curve, n, box)
+        assert all(pairs and all(block for _, block in pairs) for pairs in rows), (curve, n, box)
     # the walk memoizes no empty range and none past the box
-    walk = _BlockWalk(curve.m, n, _level_bounds(curve, n), str, box)
-    for _ in walk.walk((), (), 0):
-        pass
+    walk = fresh_walk(curve, n, box, str)
+    for _, row in walk.walk((), (), 0):
+        for _ in row:
+            pass
     assert all(lo < hi <= box + 1 for found in walk.memo.values() for lo, hi in found), (curve, n, box)
 
 
@@ -219,7 +287,7 @@ def test_capped_stream_is_the_clipped_stream(corpus):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(COPRIME), st.integers(2, 5), st.integers(-1, 60))
+@given(st.sampled_from(COPRIME), st.integers(2, 6), st.integers(-1, 60))
 def test_capped_stream_is_the_clipped_stream_random(mr, n, box):
     curve = KummerCurve(*mr)
     assume(n <= curve.r and pure_gap_count(curve, n) <= 50_000)
